@@ -204,9 +204,8 @@ int main(int argc, char **argv) {
     double BinSubSpeedup = BinSub > 0 ? Seq / BinSub : 0;
 
     std::printf("\nparallel pipeline (largest module, %zu instructions, "
-                "%zu SCCs over %zu waves, widest %zu):\n",
-                P.M.instructionCount(), SeqReport.Stats.SccCount,
-                SeqReport.Stats.WaveCount, SeqReport.Stats.WidestWave);
+                "%zu SCCs):\n",
+                P.M.instructionCount(), SeqReport.Stats.SccCount);
     std::printf("  %-28s %8.3f s\n", "sequential (--jobs 1)", Seq);
     for (const auto &[Phase, Secs] : SeqPhases)
       std::printf("    %-26s %8.3f s\n", Phase.c_str(), Secs);
@@ -232,7 +231,7 @@ int main(int argc, char **argv) {
     // Scaling gate, shaped by what the runner can actually show. On a
     // single hardware thread --jobs 4 cannot be faster, so the gate is
     // the barrier-free scheduler's overhead bound: within 5% of --jobs 1.
-    // With 4+ real cores the DAG is wide enough (see widest_wave) that
+    // With 4+ real cores the DAG is wide enough (see max_ready_queue) that
     // anything under 1.5x means readiness scheduling is broken. In
     // between (2-3 cores), any real speedup at all.
     double MinSpeedup = Hw >= 4 ? 1.5 : (Hw >= 2 ? 1.05 : 0.95);
@@ -250,8 +249,6 @@ int main(int argc, char **argv) {
           "  \"backend\": \"%s\",\n"
           "  \"instructions\": %zu,\n"
           "  \"sccs\": %zu,\n"
-          "  \"waves\": %zu,\n"
-          "  \"widest_wave\": %zu,\n"
           "  \"hardware_threads\": %u,\n"
           "  \"seq_jobs1_secs\": %.6f,\n"
           "  \"par_jobs4_secs\": %.6f,\n"
@@ -273,8 +270,7 @@ int main(int argc, char **argv) {
           "  \"fit_r2\": %.3f\n"
           "}\n",
           backendName(BackendKind::Retypd), P.M.instructionCount(),
-          SeqReport.Stats.SccCount,
-          SeqReport.Stats.WaveCount, SeqReport.Stats.WidestWave, Hw, Seq,
+          SeqReport.Stats.SccCount, Hw, Seq,
           Par4, Speedup, GateSpeedup, MinSpeedup,
           ScalingOk ? "true" : "false",
           static_cast<unsigned long long>(Par4Report.Stats.SccsScheduled),

@@ -3,7 +3,6 @@
 #include "analysis/CallGraph.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace retypd;
 
@@ -96,21 +95,6 @@ CallGraph::CallGraph(const Module &M) {
       }
   }
 
-  // Wave index = longest callee chain below the SCC. Walking bottom-up
-  // guarantees every callee SCC is assigned before its callers.
-  std::vector<uint32_t> Depth(Sccs.size(), 0);
-  uint32_t MaxDepth = 0;
-  for (uint32_t S : BottomUp) {
-    uint32_t D = 0;
-    for (uint32_t T : SccSuccs[S])
-      D = std::max(D, Depth[T] + 1);
-    Depth[S] = D;
-    MaxDepth = std::max(MaxDepth, D);
-  }
-  Waves.assign(Sccs.empty() ? 0 : MaxDepth + 1, {});
-  for (uint32_t S : BottomUp)
-    Waves[Depth[S]].push_back(S);
-
   // Reverse condensation edges, deduplicated by construction (SccSuccs
   // already is). Built in ascending SCC order so the adjacency — and with
   // it the order newly-ready SCCs enter the scheduler — is deterministic.
@@ -119,13 +103,18 @@ CallGraph::CallGraph(const Module &M) {
     for (uint32_t T : SccSuccs[S])
       SccPreds[T].push_back(S);
 
-  // Commit sequences for the readiness scheduler: the wave concatenations,
-  // which are topological orders of the condensation in both directions
-  // and match the historical wave-by-wave commit order byte for byte.
-  BottomUpSeq.reserve(Sccs.size());
-  for (const std::vector<uint32_t> &W : Waves)
-    BottomUpSeq.insert(BottomUpSeq.end(), W.begin(), W.end());
-  TopDownSeq.reserve(Sccs.size());
-  for (auto It = Waves.rbegin(); It != Waves.rend(); ++It)
-    TopDownSeq.insert(TopDownSeq.end(), It->begin(), It->end());
+  // Commit sequences for the readiness scheduler: SCC ids stably sorted
+  // by depth (longest callee chain below the SCC), which is a topological
+  // order of the condensation in either direction. Walking bottom-up
+  // assigns every callee SCC its depth before its callers.
+  std::vector<uint32_t> Depth(Sccs.size(), 0);
+  for (uint32_t S : BottomUp)
+    for (uint32_t T : SccSuccs[S])
+      Depth[S] = std::max(Depth[S], Depth[T] + 1);
+  BottomUpSeq = BottomUp;
+  std::stable_sort(BottomUpSeq.begin(), BottomUpSeq.end(),
+                   [&](uint32_t A, uint32_t B) { return Depth[A] < Depth[B]; });
+  TopDownSeq = BottomUp;
+  std::stable_sort(TopDownSeq.begin(), TopDownSeq.end(),
+                   [&](uint32_t A, uint32_t B) { return Depth[A] > Depth[B]; });
 }

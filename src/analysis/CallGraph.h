@@ -36,9 +36,8 @@ public:
   /// Members of each SCC.
   const std::vector<std::vector<uint32_t>> &sccs() const { return Sccs; }
 
-  /// SCC ids in bottom-up order (callees before callers). For a top-down
-  /// traversal use topDownWaves() — the wave grouping is the one ordering
-  /// contract the pipeline depends on.
+  /// SCC ids in Tarjan emission order (callees before callers). The
+  /// pipeline commits in bottomUpOrder()/topDownOrder() instead.
   const std::vector<uint32_t> &bottomUp() const { return BottomUp; }
 
   /// Deduplicated SCC-level callee edges (condensation DAG successors).
@@ -53,38 +52,20 @@ public:
     return SccPreds[Scc];
   }
 
-  /// Every SCC id, in concatenated bottom-up wave order. This is the
-  /// phase-1 commit sequence: a topological order of the condensation
-  /// (callees strictly before callers) that is identical for every --jobs
-  /// value, and byte-compatible with the historical wave-by-wave commit
-  /// order the golden corpus was recorded under.
+  /// Every SCC id, ordered by depth (the longest callee chain below the
+  /// SCC), ascending, ties by SCC id. This is the phase-1 commit sequence:
+  /// a topological order of the condensation (callees strictly before
+  /// callers) that is identical for every --jobs value and is the order
+  /// the golden corpus was recorded under.
   const std::vector<uint32_t> &bottomUpOrder() const { return BottomUpSeq; }
 
-  /// Every SCC id, in concatenated top-down wave order (the reverse wave
-  /// concatenation, NOT the element-wise reverse of bottomUpOrder). This
-  /// is the phase-2 commit sequence: callers strictly before callees, and
-  /// exactly the order in which callsite sketches have always been pushed
-  /// into the refinement accumulators — sketch joins are order-sensitive,
-  /// so this sequence is part of the byte-identity contract.
+  /// Every SCC id, ordered by depth descending, ties by SCC id — NOT the
+  /// element-wise reverse of bottomUpOrder. This is the phase-2 commit
+  /// sequence: callers strictly before callees, and exactly the order in
+  /// which callsite sketches have always been pushed into the refinement
+  /// accumulators — sketch joins are order-sensitive, so this sequence is
+  /// part of the byte-identity contract.
   const std::vector<uint32_t> &topDownOrder() const { return TopDownSeq; }
-
-  /// The bottom-up wavefront: Waves[0] holds the leaf SCCs (no callees
-  /// outside themselves), Waves[k] the SCCs whose deepest callee chain has
-  /// length k. Every SCC in a wave depends only on strictly earlier waves,
-  /// so the members of one wave can be summarized concurrently. Within a
-  /// wave, SCC ids appear in bottom-up order, which makes wave-by-wave
-  /// sequential processing a topological order identical for every --jobs
-  /// setting.
-  const std::vector<std::vector<uint32_t>> &bottomUpWaves() const {
-    return Waves;
-  }
-
-  /// The same waves reversed (for the top-down sketch-solving phase):
-  /// callers always appear in a strictly earlier wave than their callees.
-  std::vector<std::vector<uint32_t>> topDownWaves() const {
-    std::vector<std::vector<uint32_t>> Rev(Waves.rbegin(), Waves.rend());
-    return Rev;
-  }
 
 private:
   std::vector<std::vector<uint32_t>> Callees;
@@ -93,7 +74,6 @@ private:
   std::vector<uint32_t> BottomUp;
   std::vector<std::vector<uint32_t>> SccSuccs;
   std::vector<std::vector<uint32_t>> SccPreds;
-  std::vector<std::vector<uint32_t>> Waves;
   std::vector<uint32_t> BottomUpSeq;
   std::vector<uint32_t> TopDownSeq;
 };

@@ -17,8 +17,8 @@
 ///
 ///   Off    nothing runs — the hot path is measurably untouched
 ///          (EventCounters::VerifierChecks stays 0).
-///   Phase  freshly computed artifacts are verified at the wave-order
-///          commit points of the pipeline.
+///   Phase  freshly computed artifacts are verified at the sequence-
+///          ordered commit points of the pipeline.
 ///   Full   additionally, artifacts decoded from the summary cache and
 ///          the durable store are verified at the same seams, so a
 ///          trusted-decoder or stale-replay bug is caught at the phase

@@ -66,8 +66,6 @@ std::string retypd::statsJson(const PipelineStats &S,
   J += numField("solve_secs", S.SolveSecs) + ", ";
   J += numField("convert_secs", S.ConvertSecs) + ", ";
   J += "\"sccs\": " + std::to_string(S.SccCount) + ", ";
-  J += "\"waves\": " + std::to_string(S.WaveCount) + ", ";
-  J += "\"widest_wave\": " + std::to_string(S.WidestWave) + ", ";
   J += "\"jobs\": " + std::to_string(S.JobsUsed) + ", ";
   J += "\"cache_hits\": " + std::to_string(S.CacheHits) + ", ";
   J += "\"cache_misses\": " + std::to_string(S.CacheMisses) + ", ";

@@ -1,17 +1,15 @@
 //===- Session.cpp - Long-lived incremental analysis engine ---------------===//
 //
-// The resident engine. One analyze() call runs both inference phases under
-// a dependency-counted readiness scheduler (no wave barriers): every SCC
-// owns a commit slot at its fixed position in the bottom-up (phase 1) or
-// top-down (phase 2) sequence, becomes ready the moment its last
-// dependency SCC commits, and is then prepped by the main thread —
-// generation is not thread-safe, so it stays there — and dispatched to the
-// thread pool for simplification/solving, with ready tiny SCCs batched
-// into shared work units to amortize dispatch. Workers publish results
-// into their own slots; the main thread commits slots strictly in sequence
-// order, which replays the exact sequential schedule and keeps reports
-// byte-identical for every --jobs value. The previous run's per-SCC
-// artifacts are consulted at prep:
+// The resident engine. One analyze() call runs both inference phases as
+// callbacks of frontend/SccScheduler: every SCC owns a commit slot at its
+// fixed position in the bottom-up (phase 1) or top-down (phase 2)
+// sequence, becomes ready the moment its last dependency SCC commits, and
+// is then prepped by the main thread — generation is not thread-safe, so
+// it stays there — and handed to the thread pool for simplification/
+// solving. The main thread commits slots strictly in sequence order, which
+// replays the exact sequential schedule and keeps reports byte-identical
+// for every --jobs value. The previous run's per-SCC artifacts are
+// consulted at prep:
 //
 //   phase 1: an SCC whose members' body hashes and whose callees' scheme
 //     hashes are unchanged replays its schemes; a recomputed SCC whose
@@ -38,17 +36,16 @@
 #include "analysis/CallGraph.h"
 #include "analysis/InterfaceRecovery.h"
 #include "frontend/KnownFunctions.h"
+#include "frontend/SccScheduler.h"
 #include "mir/AsmParser.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <functional>
 #include <limits>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <utility>
@@ -447,59 +444,35 @@ Sketch AnalysisSession::refineSketch(Sketch Sk, uint32_t FuncId,
     if (JoinOps)
       ++*JoinOps;
   };
-  for (unsigned K = 0; K < FT->NumParams; ++K) {
+  // Join what every caller passed (or did with the result) at label L,
+  // then meet it with the formal sketch there. On outputs this is how a
+  // malloc wrapper's possibly fully polymorphic ∀τ.τ* return becomes a
+  // visible pointer (Example 4.3).
+  auto refineAt = [&](Label L) {
     std::optional<Sketch> Acc;
     for (const Sketch &CallSk : Actuals) {
-      auto ActualIn = CallSk.subsketch(Label::in(K));
-      if (!ActualIn)
+      auto Actual = CallSk.subsketch(L);
+      if (!Actual)
         continue;
       if (Acc) {
         CountOp();
-        Acc = Sketch::join(*Acc, *ActualIn, Lat);
+        Acc = Sketch::join(*Acc, *Actual, Lat);
       } else {
-        Acc = std::move(*ActualIn);
+        Acc = std::move(*Actual);
       }
     }
     if (!Acc)
-      continue;
-    auto FormalIn = Sk.subsketch(Label::in(K));
-    Sketch Refined;
-    if (FormalIn) {
+      return;
+    if (auto Formal = Sk.subsketch(L)) {
       CountOp();
-      Refined = Sketch::meet(*FormalIn, *Acc, Lat);
-    } else {
-      Refined = std::move(*Acc);
+      Acc = Sketch::meet(*Formal, *Acc, Lat);
     }
-    Sk = Sk.withChild(Label::in(K), Refined);
-  }
-  // Outputs: the capabilities every caller exercises on the returned value
-  // specialize the (possibly fully polymorphic) return — how a malloc
-  // wrapper's ∀τ.τ* becomes a visible pointer (Example 4.3).
-  if (M.Funcs[FuncId].ReturnsValue) {
-    std::optional<Sketch> AccOut;
-    for (const Sketch &CallSk : Actuals) {
-      auto ActualOut = CallSk.subsketch(Label::out());
-      if (!ActualOut)
-        continue;
-      if (AccOut) {
-        CountOp();
-        AccOut = Sketch::join(*AccOut, *ActualOut, Lat);
-      } else {
-        AccOut = std::move(*ActualOut);
-      }
-    }
-    if (AccOut) {
-      auto FormalOut = Sk.subsketch(Label::out());
-      Sketch Refined;
-      if (FormalOut) {
-        CountOp();
-        Refined = Sketch::meet(*FormalOut, *AccOut, Lat);
-      } else {
-        Refined = std::move(*AccOut);
-      }
-      Sk = Sk.withChild(Label::out(), Refined);
-    }
-  }
+    Sk = Sk.withChild(L, *Acc);
+  };
+  for (unsigned K = 0; K < FT->NumParams; ++K)
+    refineAt(Label::in(K));
+  if (M.Funcs[FuncId].ReturnsValue)
+    refineAt(Label::out());
   return Sk;
 }
 
@@ -509,35 +482,6 @@ Sketch AnalysisSession::refineSketch(Sketch Sk, uint32_t FuncId,
 
 namespace {
 
-/// Phase-1 commit slot for an SCC that must be (re)computed. The main
-/// thread preps it when its last callee commits (gen-cache META probe
-/// inline — no constraints materialized — and generation of misses);
-/// simplification runs on the pool inside a work unit and lazily
-/// materializes the constraint set only when a member's scheme probe
-/// misses; the slot is then published and committed on the main thread in
-/// bottom-up sequence order.
-struct P1Item {
-  uint32_t Scc = 0;
-  std::string Key;
-  std::vector<uint32_t> Members;         ///< non-external, module order
-  std::vector<std::string> MemberNames;  ///< parallel to Members
-  ConstraintSet Combined;
-  bool HasCombined = false;              ///< Combined is materialized
-  size_t ConstraintCount = 0;            ///< |Combined| (from meta or gen)
-  Hash128 SetHash;                       ///< structural hash (cache runs only)
-  SummaryKey GenKey{};                   ///< gen content key (cache runs)
-  bool HasGenKey = false;
-  std::optional<GenResultMeta> Meta;     ///< meta-probe result
-  std::unordered_set<TypeVariable> Interesting;
-  std::vector<TypeScheme> Schemes;       ///< filled by the worker
-  /// The worker needed the constraints but materializeGen came back empty
-  /// (entry evicted/pruned between the meta probe and the residual
-  /// decode); the main thread regenerates and re-simplifies inline at
-  /// this slot's commit.
-  bool SimplifyFailed = false;
-  double SimplifySecs = 0; ///< worker-side time, summed into stats at commit
-};
-
 enum class P2Mode { Solve, RefineOnly, Reuse };
 
 /// Phase-2 commit slot per SCC. Solve-mode slots are dispatched to the
@@ -545,7 +489,6 @@ enum class P2Mode { Solve, RefineOnly, Reuse };
 /// the sequence-ordered commit (callsite-sketch pushes are join-order-
 /// sensitive, so they can only ever happen in commit order).
 struct P2Item {
-  uint32_t Scc = 0;
   P2Mode Mode = P2Mode::Solve;
   std::vector<uint32_t> Members;
   std::vector<TypeVariable> Wanted;
@@ -560,14 +503,36 @@ struct P2Item {
   double SolveSecs = 0; ///< worker-side time, summed into stats at commit
 };
 
-/// Slot lifecycle shared by both phase drivers. Trivial slots (external-
-/// only SCCs, phase-2 SCCs with nothing to solve) and replay slots publish
-/// at prep; compute slots publish from the pool work unit that ran them.
-enum SlotStatus : uint8_t {
-  SlotTrivial = 0, ///< nothing to do beyond readiness bookkeeping
-  SlotReplay,      ///< artifact replay; effects at prep or commit, no pool
-  SlotCompute,     ///< dispatched to the pool as (part of) a work unit
-};
+/// Generates every member of one SCC against the schemes committed so far
+/// and merges the results into the SCC's combined set. The set is
+/// canonicalized before any solving: simplifier τ numbering and solver
+/// traversals follow constraint order, and the Tarjan member order that
+/// produced it can flip when *other* parts of the call graph change. The
+/// structural sort makes every downstream result (and the cache keys hashed
+/// from the same canonical order) a pure function of the constraint *set*,
+/// which both the cache and incremental reuse depend on.
+/// \p Members are the SCC's non-external functions, \p AllMembers all of
+/// them (every member generates against its mates' procedure variables).
+GenResult regenerateScc(ConstraintGenerator &Gen,
+                        const std::vector<uint32_t> &Members,
+                        const std::vector<uint32_t> &AllMembers,
+                        const std::unordered_map<uint32_t, TypeScheme> &Schemes,
+                        const SymbolTable &S, const Lattice &Lat) {
+  const std::set<uint32_t> Mates(AllMembers.begin(), AllMembers.end());
+  GenResult Out;
+  for (uint32_t F : Members) {
+    GenResult R = Gen.generate(F, Schemes, Mates);
+    if (Members.size() == 1)
+      Out.C = std::move(R.C); // single member: no merge
+    else
+      Out.C.merge(R.C);
+    Out.Interesting.insert(R.Interesting.begin(), R.Interesting.end());
+    Out.Callsites.insert(Out.Callsites.end(), R.Callsites.begin(),
+                         R.Callsites.end());
+  }
+  Out.C.canonicalize(S, Lat);
+  return Out;
+}
 
 } // namespace
 
@@ -575,7 +540,7 @@ const TypeReport &AnalysisSession::analyze() {
   Report = TypeReport();
   Report.Syms = Syms;
   // Analyzed flips true only once the run completes: a worker exception
-  // propagating out of a wave must leave queries answering NotAnalyzed,
+  // propagating out of a phase must leave queries answering NotAnalyzed,
   // not serving a half-built report.
   Analyzed = false;
   if (!HasModule) {
@@ -597,9 +562,10 @@ const TypeReport &AnalysisSession::analyze() {
   // sequence numbers — so the cap is invisible outside timing.
   const unsigned HwWidth = std::max(1u, std::thread::hardware_concurrency());
   ThreadPool Pool(std::min(Jobs, HwWidth) - 1);
+  SccScheduler Sched(Pool, Opts.TinySccConstraints);
 
   // Formation-rule verification (core/Verifier.h). All hooks sit at the
-  // main-thread, wave-order commit points below, so the diagnostics come
+  // main-thread, sequence-ordered commit points below, so the diagnostics come
   // out in the same deterministic order at any Jobs value and the
   // verifier never races the workers. With Verify == Off not a single
   // check runs.
@@ -627,17 +593,14 @@ const TypeReport &AnalysisSession::analyze() {
 
   // Generation-cache key plumbing: the environment signature is shared by
   // every function's key, and callee scheme hashes are memoized per run —
-  // waves are bottom-up, so a callee's scheme is final before any caller's
-  // key needs its hash.
+  // phase 1 is bottom-up, so a callee's scheme is final before any
+  // caller's key needs its hash.
   const Hash128 GenEnvSig =
       Cache ? ConstraintGenerator::envSig(M, Lat) : Hash128{};
   std::unordered_map<uint32_t, Hash128> SchemeHashMemo;
 
   const size_t NumSccs = CG.sccs().size();
   Report.Stats.SccCount = NumSccs;
-  Report.Stats.WaveCount = CG.bottomUpWaves().size();
-  for (const auto &W : CG.bottomUpWaves())
-    Report.Stats.WidestWave = std::max(Report.Stats.WidestWave, W.size());
 
   const uint64_t Hits0 = Cache ? Cache->hits() : 0;
   const uint64_t Misses0 = Cache ? Cache->misses() : 0;
@@ -712,69 +675,62 @@ const TypeReport &AnalysisSession::analyze() {
 
   // ---- Phase 1: bottom-up scheme inference (Algorithm F.1) ----
   //
-  // Readiness-scheduled, no wave barriers. Every SCC owns a commit slot
-  // at its fixed position in the bottom-up sequence (the wave
-  // concatenation — a topological order identical for every --jobs
-  // value). The main thread is prep + generator + drainer: an SCC is
-  // prepped the moment its last callee SCC commits (reuse check, gen-
-  // cache meta probe, inline generation — the constraint generator is
-  // not thread-safe), simplification is dispatched to the pool with
-  // ready tiny SCCs batched into shared work units, and published slots
-  // are committed strictly in sequence order. Readiness is driven by
-  // commits, so everything a prep reads (Schemes, SchemeChanged, the
-  // artifact maps) is final when it runs; and because the commit order
-  // replays the exact sequential schedule, report bytes cannot depend on
-  // scheduling. Workers only simplify: each writes its own slot,
-  // publishes it, and never touches shared session state.
+  // Scheduled by SccScheduler over the bottom-up sequence (a topological
+  // order identical for every --jobs value). An SCC is prepped on the main
+  // thread the moment its last callee SCC commits: reuse check, gen-cache
+  // meta probe, inline generation — the constraint generator is not
+  // thread-safe. Simplification runs on the pool, and slots commit
+  // strictly in sequence order. Readiness is driven by commits, so
+  // everything a prep reads (Schemes, SchemeChanged, the artifact maps) is
+  // final when it runs. Workers only simplify: each writes its own slot
+  // and never touches shared session state.
+  auto Callees = std::bind_front(&CallGraph::sccCallees, &CG);
+  auto Callers = std::bind_front(&CallGraph::sccCallers, &CG);
+  // Makes \p Sch function F's scheme: callers instantiate it, the report
+  // prints it.
+  auto publishScheme = [&](uint32_t F, TypeScheme Sch) {
+    Schemes[F] = Sch;
+    FunctionTypes &FT = Report.Funcs[F];
+    FT.Scheme = std::move(Sch);
+    FT.NumParams = M.Funcs[F].NumStackParams +
+                   static_cast<unsigned>(M.Funcs[F].RegParams.size());
+  };
   {
     trace::TraceSpan PhaseSpan("phase1", "phase");
-    const std::vector<uint32_t> &Seq = CG.bottomUpOrder();
-    std::vector<uint32_t> SeqOf(NumSccs, 0);
-    for (uint32_t I = 0; I < Seq.size(); ++I)
-      SeqOf[Seq[I]] = I;
-
-    std::vector<uint8_t> Status(NumSccs, SlotTrivial);
-    std::vector<P1Item> Slots(NumSccs);
-
-    // Uncommitted-callee counts. Only the drainer (main thread) mutates
-    // them: workers publish slots, they never touch readiness state.
-    std::vector<uint32_t> DepCount(NumSccs, 0);
-    for (uint32_t Scc = 0; Scc < NumSccs; ++Scc)
-      DepCount[Scc] = static_cast<uint32_t>(CG.sccCallees(Scc).size());
-
-    std::vector<std::atomic<uint8_t>> Done(NumSccs);
-    for (auto &D : Done)
-      D.store(0, std::memory_order_relaxed);
-    std::atomic<size_t> NextCommit{0};
-    std::atomic<uint64_t> Stalls{0};
-    std::atomic<bool> HasErr{false};
-    std::mutex SchedMu;
-    std::condition_variable SchedCv;
-    std::exception_ptr SchedErr; // guarded by SchedMu
-
-    // FIFO ready queue (main-thread only): SCCs whose callees have all
-    // committed, in deterministic commit-discovery order.
-    std::vector<uint32_t> ReadyQ;
-    size_t ReadyHead = 0;
-    auto pushReady = [&](uint32_t Scc) {
-      ReadyQ.push_back(Scc);
-      Report.Stats.MaxReadyQueue = std::max<uint64_t>(
-          Report.Stats.MaxReadyQueue, ReadyQ.size() - ReadyHead);
+    /// Phase-1 commit slot: the SCC's artifact, built in place, plus
+    /// per-slot scratch. The main thread preps it when its last callee
+    /// commits (gen-cache META probe inline — no constraints materialized
+    /// — and generation of misses); simplification runs on the pool and
+    /// lazily materializes the constraint set only when a member's scheme
+    /// probe misses; the slot then commits on the main thread in bottom-up
+    /// sequence order.
+    struct P1Item : SccArtifact {
+      std::string Key;
+      std::vector<uint32_t> Members;     ///< non-external, parallel to
+                                         ///< MemberNames
+      bool HasCombined = false;          ///< Combined is materialized
+      std::optional<GenResultMeta> Meta; ///< meta-probe result
+      std::unordered_set<TypeVariable> Interesting;
+      std::vector<TypeScheme> Schemes; ///< filled by the worker
+      /// The worker needed the constraints but materializeGen came back
+      /// empty (entry evicted/pruned between the meta probe and the
+      /// residual decode); the main thread regenerates and re-simplifies
+      /// inline at this slot's commit.
+      bool SimplifyFailed = false;
+      double SimplifySecs = 0; ///< worker-side time, summed at commit
     };
-    for (uint32_t Scc : Seq)
-      if (DepCount[Scc] == 0)
-        pushReady(Scc);
+    std::vector<P1Item> Slots(NumSccs);
 
     // Simplifies every member of one slot (worker side); returns false
     // when the slot needed its (lazily replayed) constraint set but the
     // cache entry vanished between the meta probe and the residual decode.
-    auto simplifyItem = [&](P1Item &Item) -> bool {
-      const std::vector<uint32_t> &AllMembers = CG.sccs()[Item.Scc];
+    auto simplifyItem = [&](uint32_t Scc, P1Item &Item) -> bool {
+      const std::vector<uint32_t> &AllMembers = CG.sccs()[Scc];
       Item.Schemes.resize(Item.Members.size());
       trace::TraceSpan Span("simplify", "scc");
       size_t SchemeCacheHits = 0;
       if (Span.active()) {
-        Span.Args.Scc = Item.Scc;
+        Span.Args.Scc = Scc;
         Span.Args.Fn = Item.MemberNames.front();
         Span.Args.Backend = Backend->name();
         Span.Args.Constraints = static_cast<int64_t>(Item.ConstraintCount);
@@ -818,65 +774,10 @@ const TypeReport &AnalysisSession::analyze() {
       return true;
     };
 
-    // One pool work unit: simplify a group of slots, publish each as it
-    // finishes (a publish of the slot the drainer is blocked on wakes it
-    // via SchedCv; out-of-order publishes count as commit stalls).
-    auto submitUnit = [&](std::vector<uint32_t> Unit) {
-      ++Report.Stats.BatchesFormed;
-      Pool.submit([&, Unit = std::move(Unit)] {
-        ScopedPhaseTimer Timer("pipeline.simplify");
-        for (uint32_t Scc : Unit) {
-          P1Item &Item = Slots[Scc];
-          Clock::time_point T0 = Clock::now();
-          try {
-            Item.SimplifyFailed = !simplifyItem(Item);
-          } catch (...) {
-            // Record the first error and keep publishing: the drainer
-            // stops before committing further slots (one it already
-            // reached falls back to the deterministic inline recompute).
-            Item.SimplifyFailed = true;
-            std::lock_guard<std::mutex> Lock(SchedMu);
-            if (!SchedErr)
-              SchedErr = std::current_exception();
-            HasErr.store(true, std::memory_order_relaxed);
-          }
-          Item.SimplifySecs = secondsSince(T0);
-          if (SeqOf[Scc] != NextCommit.load(std::memory_order_relaxed)) {
-            Stalls.fetch_add(1, std::memory_order_relaxed);
-            trace::instant("commit-stall", "sched", 1, Scc);
-          }
-          Done[Scc].store(1, std::memory_order_release);
-        }
-        // Lock-then-notify so a publish cannot slip between the drainer's
-        // predicate check and its wait.
-        { std::lock_guard<std::mutex> Lock(SchedMu); }
-        SchedCv.notify_one();
-      });
-    };
-
-    std::vector<uint32_t> TinyBatch;
-    const unsigned TinyMax = Opts.TinySccConstraints;
-    constexpr size_t kMaxBatchSccs = 64;
-    auto flushTiny = [&] {
-      if (!TinyBatch.empty())
-        submitUnit(std::exchange(TinyBatch, {}));
-    };
-    auto dispatch = [&](uint32_t Scc) {
-      ++Report.Stats.SccsScheduled;
-      if (TinyMax != 0 && Slots[Scc].ConstraintCount < TinyMax) {
-        TinyBatch.push_back(Scc);
-        if (TinyBatch.size() >= kMaxBatchSccs)
-          flushTiny();
-      } else {
-        submitUnit({Scc});
-      }
-    };
-
     // Prep one ready SCC (main thread): decide trivial/replay/compute,
-    // apply replay effects, generate compute slots, dispatch to the pool.
-    auto prep = [&](uint32_t Scc) {
+    // apply replay effects, generate compute slots.
+    auto prep = [&](uint32_t Scc) -> SccPrep {
       P1Item &Item = Slots[Scc];
-      Item.Scc = Scc;
       const std::vector<uint32_t> &AllMembers = CG.sccs()[Scc];
       for (uint32_t F : AllMembers) {
         if (M.Funcs[F].IsExternal)
@@ -884,10 +785,8 @@ const TypeReport &AnalysisSession::analyze() {
         Item.Members.push_back(F);
         Item.MemberNames.push_back(M.Funcs[F].Name);
       }
-      if (Item.Members.empty()) {
-        Done[Scc].store(1, std::memory_order_release);
-        return; // stays SlotTrivial
-      }
+      if (Item.Members.empty())
+        return {SccPrep::Trivial};
       std::string Key = sccKey(Scc, Item.MemberNames);
 
       // ---- Reuse check: unchanged members, unchanged callee schemes.
@@ -925,13 +824,7 @@ const TypeReport &AnalysisSession::analyze() {
         // Full-mode verification of the replayed schemes waits for the
         // commit slot, keeping diagnostics in sequence order.
         for (size_t I = 0; I < Item.Members.size(); ++I) {
-          uint32_t F = Item.Members[I];
-          Schemes[F] = Reused->MemberSchemes[I];
-          FunctionTypes &FT = Report.Funcs[F];
-          FT.Scheme = Reused->MemberSchemes[I];
-          FT.NumParams =
-              M.Funcs[F].NumStackParams +
-              static_cast<unsigned>(M.Funcs[F].RegParams.size());
+          publishScheme(Item.Members[I], Reused->MemberSchemes[I]);
           SchemeChanged[Item.MemberNames[I]] = 0;
           NewSchemeHashes[Item.MemberNames[I]] =
               Reused->MemberSchemeHashes[I];
@@ -940,16 +833,13 @@ const TypeReport &AnalysisSession::analyze() {
         ArtOfScc[Scc] = Reused;
         ++Report.Stats.SccsReused;
         Report.Stats.SchemesReused += Item.Members.size();
-        Status[Scc] = SlotReplay;
-        Done[Scc].store(1, std::memory_order_release);
-        return;
+        return {SccPrep::Replay};
       }
 
       // ---- Compute path: key + meta-probe + generate inline, then hand
       // simplification to the pool. The meta probe overlaps with compute
       // naturally here — other SCCs are simplifying on the workers while
       // the main thread preps.
-      Status[Scc] = SlotCompute;
       P1Computed[Scc] = 1;
       ++Report.Stats.SccsSimplified;
       Item.Key = std::move(Key);
@@ -962,7 +852,6 @@ const TypeReport &AnalysisSession::analyze() {
           GenSpan.Args.Fn = Item.MemberNames.front();
           GenSpan.Args.Backend = Backend->name();
         }
-        std::set<uint32_t> Mates(AllMembers.begin(), AllMembers.end());
         auto schemeHashFor = [&](uint32_t Callee) -> const Hash128 * {
           auto SchemeIt = Schemes.find(Callee);
           if (SchemeIt == Schemes.end())
@@ -978,12 +867,13 @@ const TypeReport &AnalysisSession::analyze() {
         // scheme hashes, SCC membership, globals table, lattice — see
         // ConstraintGenerator::genKey), and the cached payload is the
         // merged, canonicalized combined set with its structural hash. A
-        // hit therefore replays exactly what the walk+merge+canonicalize+
-        // hash below would produce — byte for byte — including the
-        // callsite variables the phase-2 solve-prep probe expects to find
-        // interned (the meta decoder interns them).
+        // hit therefore replays exactly what regenerateScc + hash below
+        // would produce — byte for byte — including the callsite
+        // variables the phase-2 solve-prep probe expects to find interned
+        // (the meta decoder interns them).
         if (Cache) {
           {
+            std::set<uint32_t> Mates(AllMembers.begin(), AllMembers.end());
             ScopedPhaseTimer KeyTimer("gencache.key");
             Fnv128 KeyHash;
             KeyHash.update("retypd-genscc-v1");
@@ -995,7 +885,6 @@ const TypeReport &AnalysisSession::analyze() {
               KeyHash.updateU64(K.Lo);
             }
             Item.GenKey = KeyHash.digest();
-            Item.HasGenKey = true;
           }
           // META prefix only — set hash, interesting/callsite variables,
           // constraint count — straight off the mapped store bytes. No
@@ -1014,30 +903,12 @@ const TypeReport &AnalysisSession::analyze() {
               static_cast<size_t>(Item.Meta->ConstraintCount);
           ++Report.Stats.GenCacheHits;
         } else {
-          if (Item.HasGenKey)
+          if (Cache)
             ++Report.Stats.GenCacheMisses;
-          std::vector<TypeVariable> Callsites;
-          for (uint32_t F : Item.Members) {
-            GenResult R = Gen.generate(F, Schemes, Mates);
-            if (Item.Members.size() == 1)
-              Item.Combined = std::move(R.C); // single member: no merge
-            else
-              Item.Combined.merge(R.C);
-            Item.Interesting.insert(R.Interesting.begin(),
-                                    R.Interesting.end());
-            if (Cache)
-              Callsites.insert(Callsites.end(), R.Callsites.begin(),
-                               R.Callsites.end());
-          }
-          // Canonicalize the combined set before any solving: simplifier τ
-          // numbering and solver traversals follow constraint order, and
-          // the Tarjan member order that produced it can flip when *other*
-          // parts of the call graph change. The structural sort makes
-          // every downstream result (and the summary-cache key hashed from
-          // the same canonical order) a pure function of the constraint
-          // *set*, which both the cache and incremental reuse depend on —
-          // with no canonical text ever materialized.
-          Item.Combined.canonicalize(S, Lat);
+          GenResult R =
+              regenerateScc(Gen, Item.Members, AllMembers, Schemes, S, Lat);
+          Item.Combined = std::move(R.C);
+          Item.Interesting = std::move(R.Interesting);
           Item.HasCombined = true;
           Item.ConstraintCount = Item.Combined.size();
           if (Cache) {
@@ -1048,29 +919,32 @@ const TypeReport &AnalysisSession::analyze() {
             std::vector<TypeVariable> Interesting(Item.Interesting.begin(),
                                                   Item.Interesting.end());
             Cache->insertGen(Item.GenKey, Item.Combined, Item.SetHash,
-                             Interesting, Callsites, S, Lat);
+                             Interesting, R.Callsites, S, Lat);
           }
         }
         if (GenSpan.active()) {
           GenSpan.Args.Constraints =
               static_cast<int64_t>(Item.ConstraintCount);
-          if (Item.HasGenKey)
+          if (Cache)
             GenSpan.Args.Cache = Item.Meta ? "hit" : "miss";
         }
         Report.ConstraintsGenerated += Item.ConstraintCount;
       }
       Report.Stats.GenerateSecs += secondsSince(T0);
-      dispatch(Scc);
+      return {SccPrep::Compute, Item.ConstraintCount};
     };
 
-    // Commit one slot (main thread, strictly in sequence order) and
-    // release its dependents.
+    auto compute = [&](uint32_t Scc) {
+      ScopedPhaseTimer Timer("pipeline.simplify");
+      P1Item &Item = Slots[Scc];
+      Clock::time_point T0 = Clock::now();
+      Item.SimplifyFailed = !simplifyItem(Scc, Item);
+      Item.SimplifySecs = secondsSince(T0);
+    };
+
     auto commit = [&](uint32_t Scc) {
       P1Item &Item = Slots[Scc];
-      switch (Status[Scc]) {
-      case SlotTrivial:
-        break;
-      case SlotReplay: {
+      if (!P1Computed[Scc]) {
         // Full verification covers replayed artifacts too: a stale or
         // corrupted incremental replay surfaces here instead of as a
         // wrong report. The allowed-free set of a replayed scheme is
@@ -1083,160 +957,88 @@ const TypeReport &AnalysisSession::analyze() {
                              "'",
                          VDiags);
         }
-        break;
+        return;
       }
-      case SlotCompute: {
-        // Fallback for vanished gen entries (evicted or pruned since the
-        // meta probe): regenerate the set — deterministic, so identical
-        // to what the replay would have produced — and redo the slot
-        // inline.
-        if (Item.SimplifyFailed) {
-          Clock::time_point T0 = Clock::now();
-          const std::vector<uint32_t> &AllMembers = CG.sccs()[Scc];
-          std::set<uint32_t> Mates(AllMembers.begin(), AllMembers.end());
-          Item.Combined = ConstraintSet();
-          for (uint32_t F : Item.Members) {
-            GenResult R = Gen.generate(F, Schemes, Mates);
-            if (Item.Members.size() == 1)
-              Item.Combined = std::move(R.C);
-            else
-              Item.Combined.merge(R.C);
-          }
-          Item.Combined.canonicalize(S, Lat);
-          Item.HasCombined = true;
-          Item.SimplifyFailed = !simplifyItem(Item);
-          Item.SimplifySecs += secondsSince(T0);
-        }
-        Report.Stats.SimplifySecs += Item.SimplifySecs;
-        // Verify what this SCC is about to commit: the combined
-        // constraint set when it was materialized this run (fresh
-        // generation, or — in Full mode the interesting case — a residual
-        // decode straight off the cache/store bytes), including the
-        // canonical-order invariant the content keys and the binary codec
-        // rely on.
-        if (VL != VerifyLevel::Off && Item.HasCombined) {
-          std::string Ctx =
-              "phase1 scc '" + Item.MemberNames.front() + "' constraints";
-          verifyConstraintSet(Item.Combined, S, Lat, Ctx, VDiags);
-          verifyCanonicalOrder(Item.Combined, S, Lat, Ctx, VDiags);
-        }
-        SccArtifact Art;
-        Art.MemberNames = Item.MemberNames;
-        Art.ConstraintCount = Item.ConstraintCount;
-        Art.SetHash = Item.SetHash;
-        Art.GenKey = Item.GenKey;
-        Art.Combined = std::move(Item.Combined); // may be unmaterialized
-        if (KeepHist)
-          Art.MemberSchemes = Item.Schemes; // keep a replayable copy
-        // Carry the previous run's callsite records forward (same member
-        // set): they are the baseline the phase-2 Solve commit compares
-        // against, which lets an edit that re-solves to identical actuals
-        // stop dirtying its callees. The stale raw/final sketches ride
-        // along but are unreachable — P1Computed forces Solve mode, which
-        // overwrites them before any replay path could read them.
-        if (auto OldIt = Artifacts.find(Item.Key);
-            OldIt != Artifacts.end() && OldIt->second.HasSolution) {
-          Art.CallsiteRecords = std::move(OldIt->second.CallsiteRecords);
-          Art.HasSolution = true;
-        }
-        for (size_t I = 0; I < Item.Members.size(); ++I) {
-          uint32_t F = Item.Members[I];
-          const std::string &Name = Item.MemberNames[I];
-          if (KeepHist) {
-            Hash128 H = schemeStructuralHash(Item.Schemes[I], S, Lat);
-            auto SnapIt = Snapshots.find(Name);
-            SchemeChanged[Name] = AllDirty || SnapIt == Snapshots.end() ||
-                                  SnapIt->second.SchemeHash != H;
-            Art.MemberSchemeHashes.push_back(H);
-            NewSchemeHashes[Name] = H;
-          }
-          // Scheme closure: besides its own bound variables the scheme
-          // may mention exactly what simplification was told to keep —
-          // the SCC's interesting variables plus its mates' procedure
-          // variables. Anything else escaping is a formation violation
-          // (whether the scheme was computed here or decoded from the
-          // cache; both commit through this path).
-          if (VL != VerifyLevel::Off) {
-            std::unordered_set<TypeVariable> Allowed = Item.Interesting;
-            for (uint32_t Mate : CG.sccs()[Scc])
-              if (Mate != F)
-                Allowed.insert(Gen.procVar(Mate));
-            verifyScheme(Item.Schemes[I], S, Lat, &Allowed,
-                         "phase1 scheme '" + Name + "'", VDiags);
-          }
-          Schemes[F] = Item.Schemes[I];
-          FunctionTypes &FT = Report.Funcs[F];
-          FT.Scheme = std::move(Item.Schemes[I]);
-          FT.NumParams = M.Funcs[F].NumStackParams +
-                         static_cast<unsigned>(M.Funcs[F].RegParams.size());
-          ++Report.Stats.SchemesComputed;
-        }
-        auto [NewIt, Inserted] =
-            NewArtifacts.emplace(std::move(Item.Key), std::move(Art));
-        (void)Inserted;
-        ArtOfScc[Scc] = &NewIt->second;
-        // Drop per-slot scratch early: slots live to the end of the
-        // phase, their artifacts live on.
-        Item.Interesting = {};
-        Item.Schemes = {};
-        Item.Meta.reset();
-        break;
+      // Fallback for vanished gen entries (evicted or pruned since the
+      // meta probe): regenerate the set — deterministic, so identical to
+      // what the replay would have produced — and redo the slot inline.
+      if (Item.SimplifyFailed) {
+        Clock::time_point T0 = Clock::now();
+        GenResult R =
+            regenerateScc(Gen, Item.Members, CG.sccs()[Scc], Schemes, S, Lat);
+        Item.Combined = std::move(R.C);
+        Item.HasCombined = true;
+        Item.SimplifyFailed = !simplifyItem(Scc, Item);
+        Item.SimplifySecs += secondsSince(T0);
       }
+      Report.Stats.SimplifySecs += Item.SimplifySecs;
+      // Verify what this SCC is about to commit: the combined constraint
+      // set when it was materialized this run (fresh generation, or — in
+      // Full mode the interesting case — a residual decode straight off
+      // the cache/store bytes), including the canonical-order invariant
+      // the content keys and the binary codec rely on.
+      if (VL != VerifyLevel::Off && Item.HasCombined) {
+        std::string Ctx =
+            "phase1 scc '" + Item.MemberNames.front() + "' constraints";
+        verifyConstraintSet(Item.Combined, S, Lat, Ctx, VDiags);
+        verifyCanonicalOrder(Item.Combined, S, Lat, Ctx, VDiags);
       }
-      trace::instant("commit", "sched", -1, Scc);
-      for (uint32_t Caller : CG.sccCallers(Scc))
-        if (--DepCount[Caller] == 0)
-          pushReady(Caller);
+      // Move out the artifact part only (Combined may be unmaterialized);
+      // the slot's own fields stay valid.
+      SccArtifact Art = std::move(static_cast<SccArtifact &>(Item));
+      if (KeepHist)
+        Art.MemberSchemes = Item.Schemes; // keep a replayable copy
+      // Carry the previous run's callsite records forward (same member
+      // set): they are the baseline the phase-2 Solve commit compares
+      // against, which lets an edit that re-solves to identical actuals
+      // stop dirtying its callees. The stale raw/final sketches ride
+      // along but are unreachable — P1Computed forces Solve mode, which
+      // overwrites them before any replay path could read them.
+      if (auto OldIt = Artifacts.find(Item.Key);
+          OldIt != Artifacts.end() && OldIt->second.HasSolution) {
+        Art.CallsiteRecords = std::move(OldIt->second.CallsiteRecords);
+        Art.HasSolution = true;
+      }
+      for (size_t I = 0; I < Item.Members.size(); ++I) {
+        uint32_t F = Item.Members[I];
+        const std::string &Name = Art.MemberNames[I];
+        if (KeepHist) {
+          Hash128 H = schemeStructuralHash(Item.Schemes[I], S, Lat);
+          auto SnapIt = Snapshots.find(Name);
+          SchemeChanged[Name] = AllDirty || SnapIt == Snapshots.end() ||
+                                SnapIt->second.SchemeHash != H;
+          Art.MemberSchemeHashes.push_back(H);
+          NewSchemeHashes[Name] = H;
+        }
+        // Scheme closure: besides its own bound variables the scheme may
+        // mention exactly what simplification was told to keep — the
+        // SCC's interesting variables plus its mates' procedure
+        // variables. Anything else escaping is a formation violation
+        // (whether the scheme was computed here or decoded from the
+        // cache; both commit through this path).
+        if (VL != VerifyLevel::Off) {
+          std::unordered_set<TypeVariable> Allowed = Item.Interesting;
+          for (uint32_t Mate : CG.sccs()[Scc])
+            if (Mate != F)
+              Allowed.insert(Gen.procVar(Mate));
+          verifyScheme(Item.Schemes[I], S, Lat, &Allowed,
+                       "phase1 scheme '" + Name + "'", VDiags);
+        }
+        publishScheme(F, std::move(Item.Schemes[I]));
+        ++Report.Stats.SchemesComputed;
+      }
+      auto [NewIt, Inserted] =
+          NewArtifacts.emplace(std::move(Item.Key), std::move(Art));
+      (void)Inserted;
+      ArtOfScc[Scc] = &NewIt->second;
+      // Drop per-slot scratch early: slots live to the end of the phase,
+      // their artifacts live on.
+      Item.Interesting = {};
+      Item.Schemes = {};
+      Item.Meta.reset();
     };
 
-    // The drainer loop. Priorities: commit whatever is committable (it
-    // releases dependents), then prep newly-ready SCCs (it feeds the
-    // pool), then flush a pending tiny batch, then help the pool; only
-    // when the queues are empty and the next slot is still in flight on a
-    // worker does the main thread sleep.
-    size_t Next = 0;
-    const size_t N = Seq.size();
-    while (Next < N) {
-      if (HasErr.load(std::memory_order_relaxed))
-        break;
-      uint32_t Scc = Seq[Next];
-      if (Done[Scc].load(std::memory_order_acquire)) {
-        commit(Scc);
-        ++Next;
-        NextCommit.store(Next, std::memory_order_relaxed);
-        continue;
-      }
-      if (ReadyHead < ReadyQ.size()) {
-        prep(ReadyQ[ReadyHead++]);
-        continue;
-      }
-      if (!TinyBatch.empty()) {
-        flushTiny();
-        continue;
-      }
-      if (Pool.tryRunOne())
-        continue;
-      std::unique_lock<std::mutex> Lock(SchedMu);
-      SchedCv.wait(Lock, [&] {
-        return Done[Scc].load(std::memory_order_acquire) ||
-               HasErr.load(std::memory_order_relaxed);
-      });
-    }
-    // Teardown join, not a scheduling barrier: on the normal path every
-    // slot has committed, so this only waits out a work unit's final
-    // bookkeeping; on the error path it drains in-flight units before
-    // their slots leave scope.
-    Pool.waitAll();
-    Report.Stats.CommitStalls += Stalls.load(std::memory_order_relaxed);
-    {
-      std::exception_ptr E;
-      {
-        std::lock_guard<std::mutex> Lock(SchedMu);
-        E = SchedErr;
-      }
-      if (E)
-        std::rethrow_exception(E);
-    }
+    Sched.run({CG.bottomUpOrder(), Callees, Callers, prep, compute, commit});
   }
 
   // ---- Phase 2: top-down sketch solving (Algorithm F.2) ----
@@ -1248,60 +1050,70 @@ const TypeReport &AnalysisSession::analyze() {
   std::vector<char> IncomingChangedFlag(M.Funcs.size(), 0);
   std::unordered_map<std::string, size_t> NewIncomingCount;
 
-  // Top-down readiness scheduler, mirroring phase 1 with the roles of
-  // callers and callees swapped: an SCC becomes ready the moment its last
-  // *caller* SCC commits, so everything its prep reads — ActualSketches
-  // tallies, IncomingChangedFlag bits, snapshots — is final. Commit slots
-  // follow the top-down sequence (the reverse wave concatenation): sketch
-  // joins are order-sensitive, so the refinement accumulators must
-  // receive callsite sketches in exactly the historical push order, and
-  // the sequence-ordered commit is what pins that for every --jobs value.
+  // Refines each member's raw sketch against the callsite actuals its
+  // callers have pushed so far (Algorithm F.3), verifies it, and assigns it
+  // as the member's final sketch; \p Finals, when given, records a copy.
+  auto refineMembers = [&](uint32_t Scc, const std::vector<uint32_t> &Members,
+                           auto &&RawOf, std::vector<Sketch> *Finals,
+                           const char *CacheTag) {
+    trace::TraceSpan RefineSpan("refine", "scc");
+    uint64_t Joins = 0;
+    if (RefineSpan.active()) {
+      RefineSpan.Args.Scc = Scc;
+      RefineSpan.Args.Fn = M.Funcs[Members.front()].Name;
+      RefineSpan.Args.Backend = Backend->name();
+      RefineSpan.Args.Cache = CacheTag;
+    }
+    static const std::vector<Sketch> None;
+    for (size_t I = 0; I < Members.size(); ++I) {
+      uint32_t F = Members[I];
+      auto ActIt = ActualSketches.find(F);
+      Sketch Final =
+          refineSketch(RawOf(I), F,
+                       ActIt == ActualSketches.end() ? None : ActIt->second,
+                       RefineSpan.active() ? &Joins : nullptr);
+      if (VL != VerifyLevel::Off)
+        verifySketch(Final, Lat, "phase2 sketch '" + M.Funcs[F].Name + "'",
+                     VDiags);
+      if (Finals)
+        Finals->push_back(Final);
+      Report.Funcs[F].FuncSketch = std::move(Final);
+    }
+    if (RefineSpan.active())
+      RefineSpan.Args.JoinOps = static_cast<int64_t>(Joins);
+  };
+
+  // Pushes the callsite sketches an SCC recorded in an earlier run. Callee
+  // names resolve against the current module; safe because artifact replay
+  // never happens under duplicate names (DupNames forces AllDirty, so every
+  // SCC takes the Solve path).
+  auto replayCallsiteRecords = [&](const SccArtifact &Art) {
+    for (const auto &[CalleeName, Sk] : Art.CallsiteRecords)
+      if (auto CalleeId = M.findFunction(CalleeName))
+        ActualSketches[*CalleeId].push_back(Sk);
+  };
+
+  // Phase 1 with the roles of callers and callees swapped: an SCC becomes
+  // ready the moment its last *caller* SCC commits, so everything its prep
+  // reads — ActualSketches tallies, IncomingChangedFlag bits, snapshots —
+  // is final. Commit slots follow the top-down sequence: sketch joins are
+  // order-sensitive, so the refinement accumulators must receive callsite
+  // sketches in exactly the historical push order, and the
+  // sequence-ordered commit is what pins that for every --jobs value.
   {
     trace::TraceSpan PhaseSpan("phase2", "phase");
-    const std::vector<uint32_t> &Seq = CG.topDownOrder();
-    std::vector<uint32_t> SeqOf(NumSccs, 0);
-    for (uint32_t I = 0; I < Seq.size(); ++I)
-      SeqOf[Seq[I]] = I;
-
-    std::vector<uint8_t> Status(NumSccs, SlotTrivial);
     std::vector<P2Item> Slots(NumSccs);
-
-    // Uncommitted-caller counts. Main-thread only, like phase 1.
-    std::vector<uint32_t> DepCount(NumSccs, 0);
-    for (uint32_t Scc = 0; Scc < NumSccs; ++Scc)
-      DepCount[Scc] = static_cast<uint32_t>(CG.sccCallers(Scc).size());
-
-    std::vector<std::atomic<uint8_t>> Done(NumSccs);
-    for (auto &D : Done)
-      D.store(0, std::memory_order_relaxed);
-    std::atomic<size_t> NextCommit{0};
-    std::atomic<uint64_t> Stalls{0};
-    std::atomic<bool> HasErr{false};
-    std::mutex SchedMu;
-    std::condition_variable SchedCv;
-    std::exception_ptr SchedErr; // guarded by SchedMu
-
-    std::vector<uint32_t> ReadyQ;
-    size_t ReadyHead = 0;
-    auto pushReady = [&](uint32_t Scc) {
-      ReadyQ.push_back(Scc);
-      Report.Stats.MaxReadyQueue = std::max<uint64_t>(
-          Report.Stats.MaxReadyQueue, ReadyQ.size() - ReadyHead);
-    };
-    for (uint32_t Scc : Seq)
-      if (DepCount[Scc] == 0)
-        pushReady(Scc);
 
     // Solves one slot (worker side). Warm probe and cold solve both run
     // here, so bundle decodes parallelize exactly like solves do.
-    auto solveItem = [&](P2Item &Item) {
+    auto solveItem = [&](uint32_t Scc, P2Item &Item) {
       trace::TraceSpan Span("solve", "scc");
       if (Span.active()) {
-        Span.Args.Scc = Item.Scc;
+        Span.Args.Scc = Scc;
         Span.Args.Fn = M.Funcs[Item.Members.front()].Name;
         Span.Args.Backend = Backend->name();
         Span.Args.Constraints =
-            static_cast<int64_t>(ArtOfScc[Item.Scc]->ConstraintCount);
+            static_cast<int64_t>(ArtOfScc[Scc]->ConstraintCount);
       }
       if (Item.ProbeCache) {
         if (auto Bindings =
@@ -1316,7 +1128,7 @@ const TypeReport &AnalysisSession::analyze() {
         if (Span.active())
           Span.Args.Cache = "miss";
       }
-      SccArtifact *Art = ArtOfScc[Item.Scc];
+      SccArtifact *Art = ArtOfScc[Scc];
       // Residual decode: the solution probe missed, so the solver really
       // needs the constraint set this SCC's meta probe left
       // unmaterialized. (Slots don't share SCCs, so writing the artifact
@@ -1331,74 +1143,21 @@ const TypeReport &AnalysisSession::analyze() {
       Item.Sol = Backend->solve(Art->Combined, Item.Wanted);
     };
 
-    auto submitUnit = [&](std::vector<uint32_t> Unit) {
-      ++Report.Stats.BatchesFormed;
-      Pool.submit([&, Unit = std::move(Unit)] {
-        ScopedPhaseTimer Timer("pipeline.solve");
-        for (uint32_t Scc : Unit) {
-          P2Item &Item = Slots[Scc];
-          Clock::time_point T0 = Clock::now();
-          try {
-            solveItem(Item);
-          } catch (...) {
-            // NeedGen routes a slot the drainer already reached through
-            // the deterministic inline regenerate+solve, which surfaces
-            // the real error on the main thread; otherwise the drainer
-            // stops on HasErr and rethrows below.
-            Item.NeedGen = true;
-            std::lock_guard<std::mutex> Lock(SchedMu);
-            if (!SchedErr)
-              SchedErr = std::current_exception();
-            HasErr.store(true, std::memory_order_relaxed);
-          }
-          Item.SolveSecs = secondsSince(T0);
-          if (SeqOf[Scc] != NextCommit.load(std::memory_order_relaxed)) {
-            Stalls.fetch_add(1, std::memory_order_relaxed);
-            trace::instant("commit-stall", "sched", 1, Scc);
-          }
-          Done[Scc].store(1, std::memory_order_release);
-        }
-        { std::lock_guard<std::mutex> Lock(SchedMu); }
-        SchedCv.notify_one();
-      });
-    };
-
-    std::vector<uint32_t> TinyBatch;
-    const unsigned TinyMax = Opts.TinySccConstraints;
-    constexpr size_t kMaxBatchSccs = 64;
-    auto flushTiny = [&] {
-      if (!TinyBatch.empty())
-        submitUnit(std::exchange(TinyBatch, {}));
-    };
-    auto dispatch = [&](uint32_t Scc) {
-      ++Report.Stats.SccsScheduled;
-      if (TinyMax != 0 && ArtOfScc[Scc]->ConstraintCount < TinyMax) {
-        TinyBatch.push_back(Scc);
-        if (TinyBatch.size() >= kMaxBatchSccs)
-          flushTiny();
-      } else {
-        submitUnit({Scc});
-      }
-    };
-
     // Prep one ready SCC: decide trivial/replay/solve. RefineOnly and
-    // Reuse slots publish immediately and do ALL their work at the commit
-    // slot — their replayed callsite pushes feed the order-sensitive
-    // accumulators, so nothing may run early. Solve slots build their
-    // wanted set and solve key here and dispatch to the pool; co-batched
-    // solves cannot contend because every callsite variable is scoped to
-    // its caller function (`fn!callee@idx`) and SCCs partition functions.
-    auto prep = [&](uint32_t Scc) {
+    // Reuse slots do ALL their work at the commit slot — their replayed
+    // callsite pushes feed the order-sensitive accumulators, so nothing
+    // may run early. Solve slots build their wanted set and solve key
+    // here; co-batched solves cannot contend because every callsite
+    // variable is scoped to its caller function (`fn!callee@idx`) and
+    // SCCs partition functions.
+    auto prep = [&](uint32_t Scc) -> SccPrep {
       SccArtifact *Art = ArtOfScc[Scc];
       // ConstraintCount, not Combined.empty(): a fully warm SCC keeps its
       // constraint set unmaterialized, but it still must be solved.
-      if (!Art || Art->ConstraintCount == 0) {
-        Done[Scc].store(1, std::memory_order_release);
-        return; // stays SlotTrivial
-      }
+      if (!Art || Art->ConstraintCount == 0)
+        return {SccPrep::Trivial};
       ScopedPhaseTimer PrepTimer("pipeline.solveprep");
       P2Item &Item = Slots[Scc];
-      Item.Scc = Scc;
       for (uint32_t F : CG.sccs()[Scc])
         if (!M.Funcs[F].IsExternal)
           Item.Members.push_back(F);
@@ -1424,14 +1183,9 @@ const TypeReport &AnalysisSession::analyze() {
         Item.Mode = P2Mode::RefineOnly;
       else
         Item.Mode = P2Mode::Reuse;
+      if (Item.Mode != P2Mode::Solve)
+        return {SccPrep::Replay};
 
-      if (Item.Mode != P2Mode::Solve) {
-        Status[Scc] = SlotReplay;
-        Done[Scc].store(1, std::memory_order_release);
-        return;
-      }
-
-      Status[Scc] = SlotCompute;
       // Solve for the member procedure variables and for every callsite
       // variable (needed for parameter refinement of callees).
       for (uint32_t F : Item.Members) {
@@ -1477,21 +1231,23 @@ const TypeReport &AnalysisSession::analyze() {
             SummaryCache::solveKeyFor(SetHash, Names, Backend->kind());
         Item.ProbeCache = true;
       }
-      dispatch(Scc);
+      return {SccPrep::Compute, Art->ConstraintCount};
     };
 
-    // Commit one slot (strictly in top-down sequence order) and release
-    // its callees. All refinement, sketch assignment, and callsite-record
-    // pushes happen here, so the accumulators see contributions in
-    // exactly the historical order.
+    auto compute = [&](uint32_t Scc) {
+      ScopedPhaseTimer Timer("pipeline.solve");
+      P2Item &Item = Slots[Scc];
+      Clock::time_point T0 = Clock::now();
+      solveItem(Scc, Item);
+      Item.SolveSecs = secondsSince(T0);
+    };
+
+    // Commit one slot (strictly in top-down sequence order). All
+    // refinement, sketch assignment, and callsite-record pushes happen
+    // here, so the accumulators see contributions in exactly the
+    // historical order.
     auto commit = [&](uint32_t Scc) {
       P2Item &Item = Slots[Scc];
-      if (Status[Scc] == SlotTrivial) {
-        for (uint32_t T : CG.sccCallees(Scc))
-          if (--DepCount[T] == 0)
-            pushReady(T);
-        return;
-      }
       SccArtifact *Art = ArtOfScc[Scc];
       switch (Item.Mode) {
       case P2Mode::Solve: {
@@ -1501,18 +1257,9 @@ const TypeReport &AnalysisSession::analyze() {
         // probe and the slot's solve).
         if (Item.NeedGen) {
           Clock::time_point T0 = Clock::now();
-          const std::vector<uint32_t> &AllMembers = CG.sccs()[Scc];
-          std::set<uint32_t> Mates(AllMembers.begin(), AllMembers.end());
-          ConstraintSet C;
-          for (uint32_t F : Item.Members) {
-            GenResult R = Gen.generate(F, Schemes, Mates);
-            if (Item.Members.size() == 1)
-              C = std::move(R.C);
-            else
-              C.merge(R.C);
-          }
-          C.canonicalize(S, Lat);
-          Art->Combined = std::move(C);
+          GenResult R = regenerateScc(Gen, Item.Members, CG.sccs()[Scc],
+                                      Schemes, S, Lat);
+          Art->Combined = std::move(R.C);
           Item.Sol = Backend->solve(Art->Combined, Item.Wanted);
           Item.NeedGen = false;
           Item.SolveSecs += secondsSince(T0);
@@ -1584,35 +1331,15 @@ const TypeReport &AnalysisSession::analyze() {
 
         Art->RawSketches.clear();
         Art->FinalSketches.clear();
-        {
-          trace::TraceSpan RefineSpan("refine", "scc");
-          uint64_t Joins = 0;
-          if (RefineSpan.active()) {
-            RefineSpan.Args.Scc = Scc;
-            RefineSpan.Args.Fn = M.Funcs[Item.Members.front()].Name;
-            RefineSpan.Args.Backend = Backend->name();
-          }
-          for (uint32_t F : Item.Members) {
-            Sketch Raw = Item.Sol.sketchFor(Gen.procVar(F));
-            if (KeepHist)
-              Art->RawSketches.push_back(Raw);
-            auto ActIt = ActualSketches.find(F);
-            static const std::vector<Sketch> None;
-            Sketch Final = refineSketch(
-                std::move(Raw), F,
-                ActIt == ActualSketches.end() ? None : ActIt->second,
-                RefineSpan.active() ? &Joins : nullptr);
-            if (VL != VerifyLevel::Off)
-              verifySketch(Final, Lat,
-                           "phase2 sketch '" + M.Funcs[F].Name + "'",
-                           VDiags);
-            if (KeepHist)
-              Art->FinalSketches.push_back(Final);
-            Report.Funcs[F].FuncSketch = std::move(Final);
-          }
-          if (RefineSpan.active())
-            RefineSpan.Args.JoinOps = static_cast<int64_t>(Joins);
-        }
+        refineMembers(
+            Scc, Item.Members,
+            [&](size_t I) {
+              Sketch Raw = Item.Sol.sketchFor(Gen.procVar(Item.Members[I]));
+              if (KeepHist)
+                Art->RawSketches.push_back(Raw);
+              return Raw;
+            },
+            KeepHist ? &Art->FinalSketches : nullptr, nullptr);
         for (size_t I = 0; I < Item.CallsiteVars.size(); ++I)
           ActualSketches[Item.CallsiteVars[I].first].push_back(
               NewRecords[I].second);
@@ -1628,36 +1355,11 @@ const TypeReport &AnalysisSession::analyze() {
       }
       case P2Mode::RefineOnly: {
         ++Report.Stats.SccsRefinedOnly;
-        trace::TraceSpan RefineSpan("refine", "scc");
-        uint64_t Joins = 0;
-        if (RefineSpan.active()) {
-          RefineSpan.Args.Scc = Scc;
-          RefineSpan.Args.Fn = M.Funcs[Item.Members.front()].Name;
-          RefineSpan.Args.Backend = Backend->name();
-          RefineSpan.Args.Cache = "refine-only";
-        }
-        for (size_t I = 0; I < Item.Members.size(); ++I) {
-          uint32_t F = Item.Members[I];
-          auto ActIt = ActualSketches.find(F);
-          static const std::vector<Sketch> None;
-          Sketch Final = refineSketch(
-              Art->RawSketches[I], F,
-              ActIt == ActualSketches.end() ? None : ActIt->second,
-              RefineSpan.active() ? &Joins : nullptr);
-          if (VL != VerifyLevel::Off)
-            verifySketch(Final, Lat,
-                         "phase2 sketch '" + M.Funcs[F].Name + "'", VDiags);
-          Art->FinalSketches[I] = Final;
-          Report.Funcs[F].FuncSketch = std::move(Final);
-        }
-        if (RefineSpan.active())
-          RefineSpan.Args.JoinOps = static_cast<int64_t>(Joins);
-        // Replay pushes resolve callee names against the current module;
-        // safe because artifact replay never happens under duplicate names
-        // (DupNames forces AllDirty, so every SCC takes the Solve path).
-        for (const auto &[CalleeName, Sk] : Art->CallsiteRecords)
-          if (auto CalleeId = M.findFunction(CalleeName))
-            ActualSketches[*CalleeId].push_back(Sk);
+        Art->FinalSketches.clear();
+        refineMembers(
+            Scc, Item.Members, [&](size_t I) { return Art->RawSketches[I]; },
+            &Art->FinalSketches, "refine-only");
+        replayCallsiteRecords(*Art);
         break;
       }
       case P2Mode::Reuse: {
@@ -1672,62 +1374,20 @@ const TypeReport &AnalysisSession::analyze() {
                          VDiags);
           Report.Funcs[Item.Members[I]].FuncSketch = Art->FinalSketches[I];
         }
-        for (const auto &[CalleeName, Sk] : Art->CallsiteRecords)
-          if (auto CalleeId = M.findFunction(CalleeName))
-            ActualSketches[*CalleeId].push_back(Sk);
+        replayCallsiteRecords(*Art);
         break;
       }
       }
-      trace::instant("commit", "sched", -1, Scc);
-      for (uint32_t T : CG.sccCallees(Scc))
-        if (--DepCount[T] == 0)
-          pushReady(T);
     };
 
-    // The drainer loop — same priorities as phase 1: commit, prep, flush
-    // tiny batch, help the pool, sleep only when the next slot is in
-    // flight on a worker.
-    size_t Next = 0;
-    const size_t N = Seq.size();
-    while (Next < N) {
-      if (HasErr.load(std::memory_order_relaxed))
-        break;
-      uint32_t Scc = Seq[Next];
-      if (Done[Scc].load(std::memory_order_acquire)) {
-        commit(Scc);
-        ++Next;
-        NextCommit.store(Next, std::memory_order_relaxed);
-        continue;
-      }
-      if (ReadyHead < ReadyQ.size()) {
-        prep(ReadyQ[ReadyHead++]);
-        continue;
-      }
-      if (!TinyBatch.empty()) {
-        flushTiny();
-        continue;
-      }
-      if (Pool.tryRunOne())
-        continue;
-      std::unique_lock<std::mutex> Lock(SchedMu);
-      SchedCv.wait(Lock, [&] {
-        return Done[Scc].load(std::memory_order_acquire) ||
-               HasErr.load(std::memory_order_relaxed);
-      });
-    }
-    // Teardown join, not a scheduling barrier (see phase 1).
-    Pool.waitAll();
-    Report.Stats.CommitStalls += Stalls.load(std::memory_order_relaxed);
-    {
-      std::exception_ptr E;
-      {
-        std::lock_guard<std::mutex> Lock(SchedMu);
-        E = SchedErr;
-      }
-      if (E)
-        std::rethrow_exception(E);
-    }
+    // Waits on callers, releases callees.
+    Sched.run({CG.topDownOrder(), Callers, Callees, prep, compute, commit});
   }
+  const SccSchedulerStats &SchedStats = Sched.stats();
+  Report.Stats.SccsScheduled = SchedStats.SccsScheduled;
+  Report.Stats.BatchesFormed = SchedStats.BatchesFormed;
+  Report.Stats.MaxReadyQueue = SchedStats.MaxReadyQueue;
+  Report.Stats.CommitStalls = SchedStats.CommitStalls;
 
   // Cache effectiveness across both phases (scheme AND solution probes).
   if (Cache) {

@@ -77,8 +77,6 @@ struct PipelineStats {
                             ///< (CPU time: exceeds wall when parallel)
   double ConvertSecs = 0;   ///< C-type conversion (sequential)
   size_t SccCount = 0;
-  size_t WaveCount = 0;  ///< condensation depth (diagnostic; no barriers)
-  size_t WidestWave = 0; ///< widest antichain the scheduler can exploit
   unsigned JobsUsed = 1;
 
   // --- Readiness-scheduler counters (see README "Execution model") ---

@@ -8,13 +8,11 @@
 /// The module verifier: exhaustive structural checks on loaded MIR before
 /// any analysis runs — operand arity per opcode, register-class sanity,
 /// branch/call/global targets in range, duplicate names, and name-map
-/// consistency. Where mir/Validator.h reports the range errors downstream
-/// passes would trip over plus analyzability *warnings*, the verifier is
-/// the strict error-only front gate: everything it reports means the
-/// module must not reach ConstraintGen, and every finding carries a
-/// precise location that renders as `file:line: error: ...` when the
-/// producer supplies a line table (AsmParser::lineTable) and as
-/// `function 'f' instr #k` otherwise.
+/// consistency. It is the strict error-only front gate: everything it
+/// reports means the module must not reach ConstraintGen, and every
+/// finding carries a precise location that renders as
+/// `file:line: error: ...` when the producer supplies a line table
+/// (AsmParser::lineTable) and as `function 'f' instr #k` otherwise.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +44,8 @@ struct ModuleVerifyResult {
   bool ok() const { return Errors.empty(); }
 };
 
-/// Checks every structural rule on \p M. Unlike validateModule, all
-/// findings are errors and the walk never stops at the first one.
+/// Checks every structural rule on \p M. All findings are errors, and the
+/// walk never stops at the first one.
 ModuleVerifyResult verifyModule(const Module &M);
 
 /// Renders \p R one finding per line. With \p Lines (the producer's

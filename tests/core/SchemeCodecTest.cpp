@@ -455,9 +455,10 @@ TEST_F(SchemeCodecTest, PoolModeRoundTripsAndRejectsOutOfRangePoolIds) {
     // Pool ids range over [0, PoolNames.size()): exactly that size
     // validates; any smaller pool makes some id dangle and must reject.
     EXPECT_TRUE(validatePayload(Pooled, PoolNames.size())) << "seed " << Seed;
-    if (!PoolNames.empty())
+    if (!PoolNames.empty()) {
       EXPECT_FALSE(validatePayload(Pooled, PoolNames.size() - 1))
           << "seed " << Seed;
+    }
     EXPECT_FALSE(validatePayload(Pooled, 0) && !PoolNames.empty());
 
     // The untrusted decoder never accepts pool mode (pool-mode payloads
@@ -510,11 +511,13 @@ TEST_F(SchemeCodecTest, PoolModePayloadSurvivesByteFlipFuzzing) {
       }
       ++Accepted;
       auto R = decodeGenResultTrusted(Mut, Syms, Lat, &V);
-      if (R)
+      if (R) {
         EXPECT_FALSE(R->C.size() > 0 && R->C.str(Syms, Lat).empty());
+      }
       auto M = decodeGenResultMetaTrusted(Mut, Syms, Lat, &V);
-      if (M)
+      if (M) {
         EXPECT_LE(M->ConstraintCount, Mut.size());
+      }
     }
   }
   EXPECT_GT(Rejected, 0u);

@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "DiamondLadder.h"
 #include "core/SolverBackend.h"
 #include "core/SummaryCache.h"
 #include "eval/Metrics.h"
@@ -88,23 +89,6 @@ BackendRun runBackend(Module M, BackendKind Backend, unsigned Jobs = 1,
   Out.Text = renderReport(Out.R, M, Lat, Print);
   Out.M = std::move(M);
   return Out;
-}
-
-/// The diamond ladder of SchedulerTest: distinct call paths double per
-/// layer, the adversarial shape for sketch-join growth (ROADMAP item 4).
-std::string diamondAsm(unsigned Layers) {
-  std::string Asm = "fn d0:\n  load eax, [esp+4]\n  add eax, 1\n  ret\n";
-  for (unsigned I = 1; I <= Layers; ++I) {
-    std::string N = std::to_string(I), P = "d" + std::to_string(I - 1);
-    Asm += "fn a" + N + ":\n  load eax, [esp+4]\n  push eax\n  call " + P +
-           "\n  add esp, 4\n  ret\n";
-    Asm += "fn b" + N + ":\n  load eax, [esp+4]\n  push eax\n  call " + P +
-           "\n  add esp, 4\n  ret\n";
-    Asm += "fn d" + N + ":\n  push " + N + "\n  call a" + N +
-           "\n  add esp, 4\n  push " + N + "\n  call b" + N +
-           "\n  add esp, 4\n  ret\n";
-  }
-  return Asm;
 }
 
 /// Per-function prototype diff between two runs of the same module.

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "DiamondLadder.h"
 #include "frontend/ReportJson.h"
 #include "frontend/ReportPrinter.h"
 #include "frontend/Session.h"
@@ -84,26 +85,6 @@ std::string manyTinyAsm(unsigned N) {
     Asm += "fn t" + std::to_string(I) +
            ":\n  load eax, [esp+4]\n  add eax, " + std::to_string(I % 7) +
            "\n  ret\n";
-  return Asm;
-}
-
-/// A ladder of diamonds: top_i -> {a_i, b_i} -> top_(i-1). Fork/join
-/// readiness: each join SCC waits on two callers (phase 2) / the two
-/// arms wait on the same callee (phase 1). Depth is capped low: sketch
-/// refinement joins grow with the number of distinct call paths, which
-/// doubles per layer on this shape.
-std::string diamondAsm(unsigned Layers) {
-  std::string Asm = "fn d0:\n  load eax, [esp+4]\n  add eax, 1\n  ret\n";
-  for (unsigned I = 1; I <= Layers; ++I) {
-    std::string N = std::to_string(I), P = "d" + std::to_string(I - 1);
-    Asm += "fn a" + N + ":\n  load eax, [esp+4]\n  push eax\n  call " + P +
-           "\n  add esp, 4\n  ret\n";
-    Asm += "fn b" + N + ":\n  load eax, [esp+4]\n  push eax\n  call " + P +
-           "\n  add esp, 4\n  ret\n";
-    Asm += "fn d" + N + ":\n  push " + N + "\n  call a" + N +
-           "\n  add esp, 4\n  push " + N + "\n  call b" + N +
-           "\n  add esp, 4\n  ret\n";
-  }
   return Asm;
 }
 

@@ -1,8 +1,8 @@
-//===- ThreadPoolTest.cpp - Pool + SCC wavefront tests ------------------------===//
+//===- ThreadPoolTest.cpp - Pool + SCC commit-order tests ---------------------===//
 //
 // Covers the work-stealing pool (completion, inline mode, nested submits,
-// exception propagation, reuse across barriers) and the CallGraph
-// wavefront decomposition the parallel pipeline schedules with.
+// exception propagation, reuse across barriers) and the CallGraph commit
+// sequences the parallel pipeline schedules with.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,9 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
-#include <set>
 
 using namespace retypd;
 
@@ -138,7 +138,7 @@ Module parseModule(const std::string &Text) {
 
 } // namespace
 
-TEST(ThreadPoolTest, WavefrontRespectsCallDependencies) {
+TEST(ThreadPoolTest, CommitOrdersRespectCallDependencies) {
   // root -> {left, right} -> leaf, plus a mutually recursive pair
   // {ping, pong} called from left.
   Module M = parseModule(R"(
@@ -163,50 +163,52 @@ fn pong:
   ret
 )");
   CallGraph CG(M);
+  const size_t NumSccs = CG.sccs().size();
+  const std::vector<uint32_t> &Up = CG.bottomUpOrder();
+  const std::vector<uint32_t> &Down = CG.topDownOrder();
 
-  const auto &Waves = CG.bottomUpWaves();
-  ASSERT_GE(Waves.size(), 3u);
+  // Each order is a permutation of the SCCs.
+  std::vector<uint32_t> All(NumSccs);
+  std::iota(All.begin(), All.end(), 0u);
+  for (const std::vector<uint32_t> *Order : {&Up, &Down}) {
+    std::vector<uint32_t> Sorted = *Order;
+    std::sort(Sorted.begin(), Sorted.end());
+    EXPECT_EQ(Sorted, All);
+  }
 
-  // Every SCC appears exactly once across the waves.
-  std::set<uint32_t> Seen;
-  size_t Count = 0;
-  for (const auto &W : Waves)
-    for (uint32_t S : W) {
-      Seen.insert(S);
-      ++Count;
+  // Callees strictly before callers bottom-up, callers strictly before
+  // callees top-down.
+  std::vector<size_t> UpPos(NumSccs), DownPos(NumSccs);
+  for (size_t I = 0; I < NumSccs; ++I) {
+    UpPos[Up[I]] = I;
+    DownPos[Down[I]] = I;
+  }
+  for (uint32_t S = 0; S < NumSccs; ++S)
+    for (uint32_t T : CG.sccCallees(S)) {
+      EXPECT_LT(UpPos[T], UpPos[S]) << "SCC " << S << " -> " << T;
+      EXPECT_LT(DownPos[S], DownPos[T]) << "SCC " << S << " -> " << T;
     }
-  EXPECT_EQ(Count, CG.sccs().size());
-  EXPECT_EQ(Seen.size(), CG.sccs().size());
-
-  // Callee SCCs are always in a strictly earlier wave.
-  std::vector<size_t> WaveOf(CG.sccs().size());
-  for (size_t WI = 0; WI < Waves.size(); ++WI)
-    for (uint32_t S : Waves[WI])
-      WaveOf[S] = WI;
-  for (uint32_t S = 0; S < CG.sccs().size(); ++S)
-    for (uint32_t T : CG.sccCallees(S))
-      EXPECT_LT(WaveOf[T], WaveOf[S]) << "SCC " << S << " -> " << T;
 
   // The mutually recursive pair condenses into one SCC of two members.
   uint32_t PingScc = CG.sccOf(*M.findFunction("ping"));
   EXPECT_EQ(PingScc, CG.sccOf(*M.findFunction("pong")));
   EXPECT_EQ(CG.sccs()[PingScc].size(), 2u);
 
-  // left and right are independent (same wave, distinct SCCs) — the
-  // parallelism the pipeline exploits.
-  uint32_t L = CG.sccOf(*M.findFunction("left"));
-  uint32_t R = CG.sccOf(*M.findFunction("right"));
-  EXPECT_NE(L, R);
-  EXPECT_LT(WaveOf[CG.sccOf(*M.findFunction("leaf"))], WaveOf[L]);
-
-  // Top-down waves are exactly the reverse decomposition.
-  auto Down = CG.topDownWaves();
-  ASSERT_EQ(Down.size(), Waves.size());
-  for (size_t I = 0; I < Down.size(); ++I)
-    EXPECT_EQ(Down[I], Waves[Waves.size() - 1 - I]);
+  // The exact sequences, pinned: the golden reports depend on them. SCCs
+  // sort by depth (longest callee chain below), ties by SCC id, so
+  // top-down is NOT the reverse of bottom-up.
+  auto sccOf = [&](const char *Fn) { return CG.sccOf(*M.findFunction(Fn)); };
+  EXPECT_EQ(Up, (std::vector<uint32_t>{sccOf("leaf"), sccOf("ping"),
+                                       sccOf("left"), sccOf("right"),
+                                       sccOf("root")}));
+  EXPECT_EQ(Down, (std::vector<uint32_t>{sccOf("root"), sccOf("left"),
+                                         sccOf("right"), sccOf("leaf"),
+                                         sccOf("ping")}));
+  std::vector<uint32_t> Reversed(Up.rbegin(), Up.rend());
+  EXPECT_NE(Down, Reversed);
 }
 
-TEST(ThreadPoolTest, WavefrontOrderIsDeterministic) {
+TEST(ThreadPoolTest, CommitOrdersAreDeterministic) {
   Module M = parseModule(R"(
 fn a:
   call c
@@ -222,5 +224,6 @@ fn main:
   ret
 )");
   CallGraph G1(M), G2(M);
-  EXPECT_EQ(G1.bottomUpWaves(), G2.bottomUpWaves());
+  EXPECT_EQ(G1.bottomUpOrder(), G2.bottomUpOrder());
+  EXPECT_EQ(G1.topDownOrder(), G2.topDownOrder());
 }

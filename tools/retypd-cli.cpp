@@ -30,7 +30,7 @@
 //   --stats                      append per-phase timing + incremental
 //                                counters (a trailing comment in text
 //                                mode, a "stats" member in JSON)
-//   --jobs N                     solve SCC waves on N threads (0 = one
+//   --jobs N                     solve SCCs on N threads (0 = one
 //                                per hardware core); output is
 //                                byte-identical for every N
 //   --summary-cache FILE         persist the content-addressed scheme
@@ -465,12 +465,12 @@ void printReport(AnalysisSession &S, const AnalyzeOpts &O,
   std::fwrite(Text.data(), 1, Text.size(), stdout);
   if (O.Stats) {
     const PipelineStats &St = S.report()->Stats;
-    std::printf("/* stats: backend=%s jobs=%u sccs=%zu waves=%zu widest=%zu "
+    std::printf("/* stats: backend=%s jobs=%u sccs=%zu "
                 "gen=%.3fs simplify=%.3fs solve=%.3fs convert=%.3fs "
                 "cache_hits=%llu cache_misses=%llu */\n",
-                St.Backend.c_str(), St.JobsUsed, St.SccCount, St.WaveCount,
-                St.WidestWave, St.GenerateSecs, St.SimplifySecs, St.SolveSecs,
-                St.ConvertSecs, static_cast<unsigned long long>(St.CacheHits),
+                St.Backend.c_str(), St.JobsUsed, St.SccCount, St.GenerateSecs,
+                St.SimplifySecs, St.SolveSecs, St.ConvertSecs,
+                static_cast<unsigned long long>(St.CacheHits),
                 static_cast<unsigned long long>(St.CacheMisses));
     std::printf("/* incremental: %s dirty=%zu sccs_simplified=%zu "
                 "sccs_reused=%zu sccs_solved=%zu refined_only=%zu "
@@ -732,8 +732,10 @@ int storeInspect(const std::string &Dir, const std::string &Format) {
       if (!FirstKind)
         Kinds += ", ";
       FirstKind = false;
-      Kinds += "\"" + jsonEscape(kindLabel(Kind)) +
-               "\": " + std::to_string(Count);
+      Kinds += '"';
+      Kinds += jsonEscape(kindLabel(Kind));
+      Kinds += "\": ";
+      Kinds += std::to_string(Count);
     }
     Kinds += "}";
     std::printf("{\"store\": \"%s\", \"ok\": %s, \"empty\": %s, "
