@@ -17,7 +17,7 @@
 
 #include "core/SummaryCache.h"
 #include "frontend/Pipeline.h"
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "synth/Synth.h"
 
 #include <algorithm>
@@ -138,9 +138,7 @@ int main(int argc, char **argv) {
     // exception (min of 2, each against a FRESH cache: a cold run is
     // only cold once).
     TypeReport SeqReport, Par4Report;
-    PhaseTimes::reset();
     double Seq = timedRun(P, Lat, 1, nullptr, &SeqReport);
-    auto SeqPhases = PhaseTimes::snapshot();
     double Par4 = timedRun(P, Lat, 4, nullptr, &Par4Report);
     SummaryCache Cache;
     double Cold = timedRun(P, Lat, 4, &Cache);
@@ -207,8 +205,10 @@ int main(int argc, char **argv) {
                 "%zu SCCs):\n",
                 P.M.instructionCount(), SeqReport.Stats.SccCount);
     std::printf("  %-28s %8.3f s\n", "sequential (--jobs 1)", Seq);
-    for (const auto &[Phase, Secs] : SeqPhases)
-      std::printf("    %-26s %8.3f s\n", Phase.c_str(), Secs);
+    for (size_t I = 0; I < kNumRegions; ++I)
+      if (SeqReport.Stats.RegionSecs[I] > 0)
+        std::printf("    %-26s %8.3f s\n", kRegions[I].Name,
+                    SeqReport.Stats.RegionSecs[I]);
     std::printf("  %-28s %8.3f s   (%.2fx, %u hardware threads)\n",
                 "parallel (--jobs 4)", Par4, Speedup, Hw);
     std::printf("  %-28s %8.3f s\n", "cold summary cache (jobs 4)", Cold);

@@ -24,7 +24,7 @@
 
 #include "core/SummaryCache.h"
 #include "frontend/Pipeline.h"
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "synth/Synth.h"
 
 #include <chrono>
@@ -44,12 +44,14 @@ constexpr unsigned kSamples = 3;
 
 using Clock = std::chrono::steady_clock;
 
-double secondsSince(Clock::time_point T0) {
+double secsSince(Clock::time_point T0) {
   return std::chrono::duration<double>(Clock::now() - T0).count();
 }
 
-double runOnce(const SynthProgram &P, const Lattice &Lat,
-               SummaryCache *Cache) {
+/// One jobs-1 analysis; returns its wall time and, via \p Stats, the run's
+/// own stats.
+double runOnce(const SynthProgram &P, const Lattice &Lat, SummaryCache *Cache,
+               PipelineStats *Stats = nullptr) {
   Module M = P.M; // run on a copy: the pipeline mutates the module
   PipelineOptions Opts;
   Opts.Jobs = 1;
@@ -57,8 +59,9 @@ double runOnce(const SynthProgram &P, const Lattice &Lat,
   Clock::time_point T0 = Clock::now();
   Pipeline Pipe(Lat, Opts);
   TypeReport R = Pipe.run(M);
-  (void)R;
-  return secondsSince(T0);
+  if (Stats)
+    *Stats = std::move(R.Stats);
+  return secsSince(T0);
 }
 
 } // namespace
@@ -109,7 +112,7 @@ int main(int argc, char **argv) {
   }
   Clock::time_point T0 = Clock::now();
   auto Appended = Cold.flushToStore();
-  double AppendSecs = secondsSince(T0);
+  double AppendSecs = secsSince(T0);
   if (!Appended || *Appended == 0) {
     std::fprintf(stderr, "flushToStore appended nothing\n");
     return 1;
@@ -140,18 +143,15 @@ int main(int argc, char **argv) {
   for (unsigned I = 0; I < kSamples; ++I) {
     SummaryCache Warm;
     EventCounters::reset();
-    PhaseTimes::reset();
     Clock::time_point W0 = Clock::now();
     if (!Warm.openStore(Dir.string())) {
       std::fprintf(stderr, "cannot reopen store\n");
       return 1;
     }
-    double Wall = secondsSince(W0) + runOnce(P, Lat, &Warm);
+    PipelineStats Stats;
+    double Wall = secsSince(W0) + runOnce(P, Lat, &Warm, &Stats);
     StoreWarm = I == 0 ? Wall : std::min(StoreWarm, Wall);
-    double Decode = 0;
-    for (const auto &[Phase, Secs] : PhaseTimes::snapshot())
-      if (Phase == "cache.decode")
-        Decode = Secs;
+    double Decode = Stats.secs(Region::Decode);
     DecodeSecs = I == 0 ? Decode : std::min(DecodeSecs, Decode);
     StoreHits = EventCounters::StoreHits.load();
     StoreCopies = EventCounters::StorePayloadCopies.load();
@@ -170,7 +170,7 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "cannot load legacy file\n");
       return 1;
     }
-    double Wall = secondsSince(W0) + runOnce(P, Lat, &Warm);
+    double Wall = secsSince(W0) + runOnce(P, Lat, &Warm);
     LegacyWarm = I == 0 ? Wall : std::min(LegacyWarm, Wall);
   }
   std::printf("warm (mmap store)  %8.3f s  (%llu store hits, %llu copies)\n",
@@ -204,7 +204,7 @@ int main(int argc, char **argv) {
   StoreInfo Before = Store::inspect(Dir.string(), kSummaryCacheSchemaVersion);
   T0 = Clock::now();
   auto Compacted = S->compact();
-  double CompactSecs = secondsSince(T0);
+  double CompactSecs = secsSince(T0);
   if (!Compacted || Compacted->ReclaimedBytes < Before.DeadBytes) {
     std::fprintf(stderr, "compaction reclaimed less than reported dead "
                          "bytes\n");

@@ -2,8 +2,8 @@
 //
 // Measures the warm summary-cache path directly instead of inferring it
 // from end-to-end times: one synthetic module analyzed cold (populating a
-// shared cache) and then warm, with the per-phase wall-clock accumulators
-// (support/Stats.h PhaseTimes) split out for each run:
+// shared cache) and then warm, with the run's timed regions
+// (support/Metrics.h, read off the report's PipelineStats) split out:
 //
 //   pipeline.generate / simplify / solve / convert   the classic phases
 //   cache.hash                                       structural key hashing
@@ -36,7 +36,7 @@
 
 #include "core/SummaryCache.h"
 #include "frontend/Pipeline.h"
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "synth/Synth.h"
 
 #include <algorithm>
@@ -56,17 +56,8 @@ constexpr unsigned kSamples = 3;
 
 struct RunResult {
   double WallSecs = 0;
-  // PhaseTimes::snapshot() is already sorted by phase name (a documented
-  // contract, pinned by tests/support/StatsTest.cpp) — keep it verbatim
-  // instead of re-sorting through a std::map.
-  std::vector<std::pair<std::string, double>> Phases;
-  CounterSnapshot Counters; ///< delta over the run
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
-  uint64_t SccsScheduled = 0;
-  uint64_t BatchesFormed = 0;
-  uint64_t MaxReadyQueue = 0;
-  uint64_t CommitStalls = 0;
+  PipelineStats Stats;      ///< the run's regions, cache and scheduler counts
+  CounterSnapshot Counters; ///< process-wide counters over the run
 };
 
 RunResult timedRun(const SynthProgram &P, const Lattice &Lat,
@@ -75,53 +66,33 @@ RunResult timedRun(const SynthProgram &P, const Lattice &Lat,
   PipelineOptions Opts;
   Opts.Jobs = 1; // single-core phase attribution (no overlap double-count)
   Opts.Cache = Cache;
-  PhaseTimes::reset();
   EventCounters::reset();
-  const CounterSnapshot Counters0 = CounterSnapshot::take();
-  uint64_t Hits0 = Cache ? Cache->hits() : 0;
-  uint64_t Misses0 = Cache ? Cache->misses() : 0;
   auto T0 = std::chrono::steady_clock::now();
   Pipeline Pipe(Lat, Opts);
   TypeReport R = Pipe.run(M);
   RunResult Out;
-  Out.SccsScheduled = R.Stats.SccsScheduled;
-  Out.BatchesFormed = R.Stats.BatchesFormed;
-  Out.MaxReadyQueue = R.Stats.MaxReadyQueue;
-  Out.CommitStalls = R.Stats.CommitStalls;
   Out.WallSecs = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - T0)
                      .count();
-  Out.Phases = PhaseTimes::snapshot();
-  Out.Counters = Counters0.delta();
-  if (Cache) {
-    Out.CacheHits = Cache->hits() - Hits0;
-    Out.CacheMisses = Cache->misses() - Misses0;
-  }
+  Out.Stats = std::move(R.Stats);
+  Out.Counters = CounterSnapshot::take();
   return Out;
-}
-
-double phase(const RunResult &R, const char *Name) {
-  // Phases is sorted by name (snapshot() contract), so binary search.
-  auto It = std::lower_bound(
-      R.Phases.begin(), R.Phases.end(), Name,
-      [](const std::pair<std::string, double> &E, const char *N) {
-        return E.first < N;
-      });
-  return It != R.Phases.end() && It->first == Name ? It->second : 0.0;
 }
 
 void printRun(const char *Title, const RunResult &R) {
   std::printf("%s: %.3f s wall\n", Title, R.WallSecs);
-  for (const auto &[Name, Secs] : R.Phases)
-    std::printf("    %-22s %8.4f s\n", Name.c_str(), Secs);
+  for (size_t I = 0; I < kNumRegions; ++I)
+    if (R.Stats.RegionSecs[I] > 0)
+      std::printf("    %-22s %8.4f s\n", kRegions[I].Name,
+                  R.Stats.RegionSecs[I]);
   std::printf("    %-22s %8llu\n", "constraint parses",
               static_cast<unsigned long long>(R.Counters.ConstraintParseCalls));
   std::printf("    %-22s %8llu / %llu\n", "scheme encodes/decodes",
               static_cast<unsigned long long>(R.Counters.SchemeEncodes),
               static_cast<unsigned long long>(R.Counters.SchemeDecodes));
   std::printf("    %-22s %8llu / %llu\n", "cache hits/misses",
-              static_cast<unsigned long long>(R.CacheHits),
-              static_cast<unsigned long long>(R.CacheMisses));
+              static_cast<unsigned long long>(R.Stats.CacheHits),
+              static_cast<unsigned long long>(R.Stats.CacheMisses));
   std::printf("    %-22s %8llu / %llu\n", "gen-cache hits/misses",
               static_cast<unsigned long long>(R.Counters.GenCacheHits),
               static_cast<unsigned long long>(R.Counters.GenCacheMisses));
@@ -157,23 +128,25 @@ void emitPhases(FILE *J, const RunResult &R, const char *Indent) {
                "%s\"max_ready_queue\": %llu,\n"
                "%s\"commit_stalls\": %llu,\n"
                "%s\"wall_secs\": %.6f\n",
-               Indent, phase(R, "pipeline.phase0"), Indent,
-               phase(R, "pipeline.generate"), Indent,
-               phase(R, "pipeline.simplify"), Indent,
-               phase(R, "pipeline.solveprep"), Indent,
-               phase(R, "pipeline.solve"), Indent,
-               phase(R, "pipeline.convert"), Indent, phase(R, "cache.hash"),
-               Indent, phase(R, "gencache.key"), Indent,
-               phase(R, "cache.encode"), Indent,
-               phase(R, "cache.decode"), Indent, phase(R, "parser.parse"),
-               Indent,
+               Indent, R.Stats.secs(Region::Phase0), Indent,
+               R.Stats.secs(Region::Generate), Indent,
+               R.Stats.secs(Region::Simplify), Indent,
+               R.Stats.secs(Region::SolvePrep), Indent,
+               R.Stats.secs(Region::Solve), Indent,
+               R.Stats.secs(Region::Convert), Indent,
+               R.Stats.secs(Region::Hash), Indent,
+               R.Stats.secs(Region::GenKey), Indent,
+               R.Stats.secs(Region::Encode), Indent,
+               R.Stats.secs(Region::Decode), Indent,
+               R.Stats.secs(Region::Parse), Indent,
                static_cast<unsigned long long>(R.Counters.ConstraintParseCalls),
                Indent,
                static_cast<unsigned long long>(R.Counters.SchemeEncodes),
                Indent,
                static_cast<unsigned long long>(R.Counters.SchemeDecodes),
-               Indent, static_cast<unsigned long long>(R.CacheHits), Indent,
-               static_cast<unsigned long long>(R.CacheMisses), Indent,
+               Indent, static_cast<unsigned long long>(R.Stats.CacheHits),
+               Indent, static_cast<unsigned long long>(R.Stats.CacheMisses),
+               Indent,
                static_cast<unsigned long long>(R.Counters.GenCacheHits), Indent,
                static_cast<unsigned long long>(R.Counters.GenCacheMisses),
                Indent, static_cast<unsigned long long>(R.Counters.StoreHits),
@@ -183,10 +156,11 @@ void emitPhases(FILE *J, const RunResult &R, const char *Indent) {
                Indent,
                static_cast<unsigned long long>(R.Counters.VerifierChecks),
                Indent, static_cast<unsigned long long>(R.Counters.TraceEvents),
-               Indent, static_cast<unsigned long long>(R.SccsScheduled), Indent,
-               static_cast<unsigned long long>(R.BatchesFormed), Indent,
-               static_cast<unsigned long long>(R.MaxReadyQueue), Indent,
-               static_cast<unsigned long long>(R.CommitStalls), Indent,
+               Indent, static_cast<unsigned long long>(R.Stats.SccsScheduled),
+               Indent, static_cast<unsigned long long>(R.Stats.BatchesFormed),
+               Indent, static_cast<unsigned long long>(R.Stats.MaxReadyQueue),
+               Indent, static_cast<unsigned long long>(R.Stats.CommitStalls),
+               Indent,
                R.WallSecs);
 }
 
@@ -238,11 +212,11 @@ int main(int argc, char **argv) {
   };
   // Per-phase minima across a mode's samples: phase ratios computed
   // min-over-min are far less noise-sensitive than any single run's.
-  auto minPhase = [](const std::vector<RunResult> &Runs, const char *Name) {
+  auto minPhase = [](const std::vector<RunResult> &Runs, Region Reg) {
     double Min = 0;
     bool Have = false;
     for (const RunResult &R : Runs) {
-      double V = phase(R, Name);
+      double V = R.Stats.secs(Reg);
       if (!Have || V < Min) {
         Min = V;
         Have = true;
@@ -280,9 +254,9 @@ int main(int argc, char **argv) {
 
   double Speedup = Warm.WallSecs > 0 ? NoCache.WallSecs / Warm.WallSecs : 0;
   std::printf("\nwarm speedup vs no-cache: %.2fx\n", Speedup);
-  double WarmGen = minPhase(WarmRuns, "pipeline.generate");
+  double WarmGen = minPhase(WarmRuns, Region::Generate);
   double GenSpeedup =
-      WarmGen > 0 ? minPhase(NoCacheRuns, "pipeline.generate") / WarmGen : 0;
+      WarmGen > 0 ? minPhase(NoCacheRuns, Region::Generate) / WarmGen : 0;
   std::printf("warm generate-phase speedup vs no-cache: %.2fx "
               "(per-phase min over %u samples)\n",
               GenSpeedup, kSamples);
@@ -291,8 +265,8 @@ int main(int argc, char **argv) {
   // one check and not one trace event may have been recorded. This is
   // the zero-cost-when-off contract as a gated number.
   bool WarmClean =
-      Warm.Counters.ConstraintParseCalls == 0 && Warm.CacheMisses == 0 &&
-      Warm.CacheHits > 0 && Warm.Counters.GenCacheMisses == 0 &&
+      Warm.Counters.ConstraintParseCalls == 0 && Warm.Stats.CacheMisses == 0 &&
+      Warm.Stats.CacheHits > 0 && Warm.Counters.GenCacheMisses == 0 &&
       Warm.Counters.GenCacheHits > 0 && Warm.Counters.VerifierChecks == 0 &&
       NoCache.Counters.VerifierChecks == 0 &&
       Cold.Counters.VerifierChecks == 0 && Warm.Counters.TraceEvents == 0 &&
@@ -328,11 +302,11 @@ int main(int argc, char **argv) {
   }
   printRun("store warm      ", StoreWarm);
 
-  double StoreDecode = minPhase(StoreRuns, "cache.decode");
+  double StoreDecode = minPhase(StoreRuns, Region::Decode);
   if (DecodeBudget <= 0)
     DecodeBudget = 1.0e-6 * static_cast<double>(P.M.instructionCount());
   bool StoreClean = StoreWarm.Counters.ConstraintParseCalls == 0 &&
-                    StoreWarm.CacheMisses == 0 &&
+                    StoreWarm.Stats.CacheMisses == 0 &&
                     StoreWarm.Counters.GenCacheMisses == 0 &&
                     StoreWarm.Counters.StoreHits > 0 &&
                     StoreWarm.Counters.StorePayloadCopies == 0 &&

@@ -2,7 +2,7 @@
 
 #include "core/SummaryCache.h"
 
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -68,7 +68,7 @@ SummaryKey SummaryCache::keyFor(const ConstraintSet &C, TypeVariable ProcVar,
                                 BackendKind Backend) {
   // The canonical structural hash is the content identity — insertion
   // order and symbol-id allocation cannot leak into it.
-  ScopedPhaseTimer Timer("cache.hash");
+  ScopedRegion Timer(Region::Hash);
   return keyFor(constraintSetHash(C, Syms, Lat),
                 Syms.name(ProcVar.symbol()), InterestingNames, Opts, Backend);
 }
@@ -125,7 +125,7 @@ SummaryCache::poolBindingFor(SymbolTable &Syms, const Lattice &Lat) const {
   }
   uint64_t Added = 0;
   {
-    ScopedPhaseTimer Timer("cache.poolbind");
+    ScopedRegion Timer(Region::PoolBind);
     Backing->forEachPoolNameFrom(From, [&](uint64_t, std::string_view N) {
       B->SymIds.push_back(Syms.intern(N));
       std::optional<LatticeElem> E = Lat.lookup(N);
@@ -134,7 +134,7 @@ SummaryCache::poolBindingFor(SymbolTable &Syms, const Lattice &Lat) const {
     });
   }
   if (Added) {
-    EventCounters::PoolBinds.fetch_add(Added, std::memory_order_relaxed);
+    count(Counter::PoolBinds, Added);
     trace::instant("pool.bind", "store", static_cast<int64_t>(Added));
   }
   std::lock_guard<std::mutex> L(BindingM);
@@ -163,7 +163,7 @@ auto SummaryCache::probeImpl(const SummaryKey &K, SymbolTable &Syms,
     auto It = Sh.Entries.find(K);
     if (It != Sh.Entries.end()) {
       FoundMem = true;
-      ScopedPhaseTimer Timer("cache.decode");
+      ScopedRegion Timer(Region::Decode);
       Out = Decode(std::string_view(It->second));
     }
   }
@@ -203,14 +203,13 @@ auto SummaryCache::probeImpl(const SummaryKey &K, SymbolTable &Syms,
         PV.SymIds = B->SymIds.data();
         PV.LatElems = B->LatElems.data();
         PV.Size = B->SymIds.size();
-        ScopedPhaseTimer Timer("cache.decode");
+        ScopedRegion Timer(Region::Decode);
         Out = DecodeTrusted(V, &PV);
       }
       if (Out) {
-        EventCounters::StoreHits.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::StoreHits);
         if (PoolMode)
-          EventCounters::PoolBindHits.fetch_add(1,
-                                                std::memory_order_relaxed);
+          count(Counter::PoolBindHits);
       } else if (PoolMode && Attempt == 0) {
         // The payload may reference pool ids added after our binding
         // snapshot (another process flushed between the binding build
@@ -225,12 +224,16 @@ auto SummaryCache::probeImpl(const SummaryKey &K, SymbolTable &Syms,
     }
   }
   if (Out) {
-    if (Count)
+    if (Count) {
       Hits.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::CacheHits);
+    }
     return Out;
   }
-  if (Count)
+  if (Count) {
     Misses.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::CacheMisses);
+  }
   return std::nullopt;
 }
 
@@ -267,9 +270,9 @@ std::optional<DecodedGenResult> SummaryCache::lookupGen(const SummaryKey &K,
         return decodeGenResultTrusted(P, Syms, Lat, Pool);
       });
   if (Out)
-    EventCounters::GenCacheHits.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::GenCacheHits);
   else
-    EventCounters::GenCacheMisses.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::GenCacheMisses);
   return Out;
 }
 
@@ -288,9 +291,9 @@ SummaryCache::lookupGenMeta(const SummaryKey &K, SymbolTable &Syms,
         return decodeGenResultMetaTrusted(P, Syms, Lat, Pool);
       });
   if (Out)
-    EventCounters::GenCacheHits.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::GenCacheHits);
   else
-    EventCounters::GenCacheMisses.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::GenCacheMisses);
   return Out;
 }
 
@@ -352,7 +355,6 @@ std::optional<size_t> SummaryCache::flushToStore(std::string *Err) {
     return A.first < B.first;
   });
   size_t Appended = 0;
-  ScopedPhaseTimer Timer("store.flush");
   bool Ok = Backing->flushWith(
       [&](Store::Txn &T) {
         Appended = 0;
@@ -387,7 +389,7 @@ void SummaryCache::insertGen(const SummaryKey &K, const ConstraintSet &C,
                              const SymbolTable &Syms, const Lattice &Lat) {
   std::string Payload;
   {
-    ScopedPhaseTimer Timer("cache.encode");
+    ScopedRegion Timer(Region::Encode);
     Payload = encodeGenResult(C, SetHash, Interesting, Callsites, Syms, Lat);
   }
   insertPayload(K, std::move(Payload));
@@ -399,7 +401,7 @@ void SummaryCache::insertSolution(
     const SymbolTable &Syms, const Lattice &Lat, BackendKind Backend) {
   std::string Payload;
   {
-    ScopedPhaseTimer Timer("cache.encode");
+    ScopedRegion Timer(Region::Encode);
     Payload = encodeSketchBundle(Entries, Syms, Lat, Backend);
   }
   insertPayload(K, std::move(Payload));
@@ -410,7 +412,7 @@ void SummaryCache::insert(const SummaryKey &K, const TypeScheme &Scheme,
                           BackendKind Backend) {
   std::string Payload;
   {
-    ScopedPhaseTimer Timer("cache.encode");
+    ScopedRegion Timer(Region::Encode);
     Payload = encodeScheme(Scheme, Syms, Lat, Backend);
   }
   insertPayload(K, std::move(Payload));

@@ -60,11 +60,10 @@ std::string numField(const char *Name, double V) {
 std::string retypd::statsJson(const PipelineStats &S,
                               const std::string &ProfileJson) {
   std::string J = "{";
+  J += "\"stats_schema\": " + std::to_string(kStatsSchemaVersion) + ", ";
   J += "\"backend\": " + quoted(S.Backend) + ", ";
-  J += numField("generate_secs", S.GenerateSecs) + ", ";
-  J += numField("simplify_secs", S.SimplifySecs) + ", ";
-  J += numField("solve_secs", S.SolveSecs) + ", ";
-  J += numField("convert_secs", S.ConvertSecs) + ", ";
+  for (size_t I = 0; I < kNumRegions; ++I)
+    J += numField(kRegions[I].Key, S.RegionSecs[I]) + ", ";
   J += "\"sccs\": " + std::to_string(S.SccCount) + ", ";
   J += "\"jobs\": " + std::to_string(S.JobsUsed) + ", ";
   J += "\"cache_hits\": " + std::to_string(S.CacheHits) + ", ";

@@ -65,6 +65,11 @@ std::string renderReportJson(const TypeReport &R, const Module &M,
                              const Lattice &Lat,
                              const ReportJsonOptions &Opts = ReportJsonOptions());
 
+/// Version of the stats object's layout, rendered as its first member
+/// ("stats_schema"). Version 2 renders every timed region of
+/// support/Metrics.h under its table key ("generate_secs", ...).
+inline constexpr int kStatsSchemaVersion = 2;
+
 /// Renders one PipelineStats as a JSON object (no trailing newline); the
 /// "stats" member of renderReportJson, also reused by the benchmarks.
 /// \p ProfileJson, when non-empty, is appended verbatim as a "profile"

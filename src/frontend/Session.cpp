@@ -38,12 +38,11 @@
 #include "frontend/KnownFunctions.h"
 #include "frontend/SccScheduler.h"
 #include "mir/AsmParser.h"
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <limits>
 #include <set>
@@ -53,12 +52,6 @@
 using namespace retypd;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point T0) {
-  return std::chrono::duration<double>(Clock::now() - T0).count();
-}
 
 /// Marker snapshot hash for externals without a known-function scheme.
 /// Distinguishable from every real scheme hash (FNV-1a of a non-empty
@@ -500,7 +493,6 @@ struct P2Item {
   /// The solve worker needed the SCC's (lazily replayed) constraints but
   /// the gen entry vanished; the main thread regenerates + solves inline.
   bool NeedGen = false;
-  double SolveSecs = 0; ///< worker-side time, summed into stats at commit
 };
 
 /// Generates every member of one SCC against the schemes committed so far
@@ -548,6 +540,12 @@ const TypeReport &AnalysisSession::analyze() {
     return Report;
   }
 
+  // This run's counters and region timings. Installed here for the main
+  // thread and by the compute callbacks for pool workers, so everything
+  // this run counts lands here and nothing another session counts does.
+  RunMetrics Run;
+  RunScope Scope(&Run);
+
   SymbolTable &S = *Syms;
   unsigned Jobs = Opts.Jobs;
   if (Jobs == 0)
@@ -575,8 +573,7 @@ const TypeReport &AnalysisSession::analyze() {
   // ---- Phase 0: IR-level interface recovery + library summaries ----
   std::unordered_map<uint32_t, TypeScheme> Schemes;
   {
-    ScopedPhaseTimer Timer("pipeline.phase0");
-    trace::TraceSpan Span("phase0", "phase");
+    ScopedRegion Timer(Region::Phase0, "phase0", "phase");
     recoverInterfaces(M);
     registerKnownFunctions(M, S, Lat, Schemes);
   }
@@ -601,12 +598,6 @@ const TypeReport &AnalysisSession::analyze() {
 
   const size_t NumSccs = CG.sccs().size();
   Report.Stats.SccCount = NumSccs;
-
-  const uint64_t Hits0 = Cache ? Cache->hits() : 0;
-  const uint64_t Misses0 = Cache ? Cache->misses() : 0;
-  // SummaryCache hits/misses are instance counters (snapshotted above);
-  // everything process-global goes through one CounterSnapshot.
-  const CounterSnapshot Counters0 = CounterSnapshot::take();
 
   // ---- Edit detection -------------------------------------------------
   const bool HadHistory = !Snapshots.empty();
@@ -717,7 +708,6 @@ const TypeReport &AnalysisSession::analyze() {
       /// residual decode); the main thread regenerates and re-simplifies
       /// inline at this slot's commit.
       bool SimplifyFailed = false;
-      double SimplifySecs = 0; ///< worker-side time, summed at commit
     };
     std::vector<P1Item> Slots(NumSccs);
 
@@ -727,9 +717,9 @@ const TypeReport &AnalysisSession::analyze() {
     auto simplifyItem = [&](uint32_t Scc, P1Item &Item) -> bool {
       const std::vector<uint32_t> &AllMembers = CG.sccs()[Scc];
       Item.Schemes.resize(Item.Members.size());
-      trace::TraceSpan Span("simplify", "scc");
+      ScopedRegion Span(Region::Simplify, "simplify", "scc");
       size_t SchemeCacheHits = 0;
-      if (Span.active()) {
+      if (Span.tracing()) {
         Span.Args.Scc = Scc;
         Span.Args.Fn = Item.MemberNames.front();
         Span.Args.Backend = Backend->name();
@@ -760,14 +750,14 @@ const TypeReport &AnalysisSession::analyze() {
         bool FromCache = false;
         auto Scheme = summarize(Constraints, Item.SetHash, Gen.procVar(F),
                                 Keep, *Backend, Cache,
-                                Span.active() ? &FromCache : nullptr);
+                                Span.tracing() ? &FromCache : nullptr);
         if (!Scheme)
           return false;
         if (FromCache)
           ++SchemeCacheHits;
         Item.Schemes[I] = std::move(*Scheme);
       }
-      if (Span.active())
+      if (Span.tracing())
         Span.Args.Cache = SchemeCacheHits == Item.Members.size() ? "hit"
                           : SchemeCacheHits == 0                 ? "miss"
                                                                  : "partial";
@@ -843,11 +833,9 @@ const TypeReport &AnalysisSession::analyze() {
       P1Computed[Scc] = 1;
       ++Report.Stats.SccsSimplified;
       Item.Key = std::move(Key);
-      Clock::time_point T0 = Clock::now();
       {
-        ScopedPhaseTimer Timer("pipeline.generate");
-        trace::TraceSpan GenSpan("generate", "scc");
-        if (GenSpan.active()) {
+        ScopedRegion GenSpan(Region::Generate, "generate", "scc");
+        if (GenSpan.tracing()) {
           GenSpan.Args.Scc = Scc;
           GenSpan.Args.Fn = Item.MemberNames.front();
           GenSpan.Args.Backend = Backend->name();
@@ -874,7 +862,7 @@ const TypeReport &AnalysisSession::analyze() {
         if (Cache) {
           {
             std::set<uint32_t> Mates(AllMembers.begin(), AllMembers.end());
-            ScopedPhaseTimer KeyTimer("gencache.key");
+            ScopedRegion KeyTimer(Region::GenKey);
             Fnv128 KeyHash;
             KeyHash.update("retypd-genscc-v1");
             KeyHash.sep();
@@ -901,10 +889,7 @@ const TypeReport &AnalysisSession::analyze() {
                                   Item.Meta->Interesting.end());
           Item.ConstraintCount =
               static_cast<size_t>(Item.Meta->ConstraintCount);
-          ++Report.Stats.GenCacheHits;
         } else {
-          if (Cache)
-            ++Report.Stats.GenCacheMisses;
           GenResult R =
               regenerateScc(Gen, Item.Members, AllMembers, Schemes, S, Lat);
           Item.Combined = std::move(R.C);
@@ -913,7 +898,7 @@ const TypeReport &AnalysisSession::analyze() {
           Item.ConstraintCount = Item.Combined.size();
           if (Cache) {
             {
-              ScopedPhaseTimer HashTimer("cache.hash");
+              ScopedRegion HashTimer(Region::Hash);
               Item.SetHash = canonicalSetHash(Item.Combined, S, Lat);
             }
             std::vector<TypeVariable> Interesting(Item.Interesting.begin(),
@@ -922,7 +907,7 @@ const TypeReport &AnalysisSession::analyze() {
                              Interesting, R.Callsites, S, Lat);
           }
         }
-        if (GenSpan.active()) {
+        if (GenSpan.tracing()) {
           GenSpan.Args.Constraints =
               static_cast<int64_t>(Item.ConstraintCount);
           if (Cache)
@@ -930,16 +915,13 @@ const TypeReport &AnalysisSession::analyze() {
         }
         Report.ConstraintsGenerated += Item.ConstraintCount;
       }
-      Report.Stats.GenerateSecs += secondsSince(T0);
       return {SccPrep::Compute, Item.ConstraintCount};
     };
 
     auto compute = [&](uint32_t Scc) {
-      ScopedPhaseTimer Timer("pipeline.simplify");
+      RunScope WorkerScope(&Run);
       P1Item &Item = Slots[Scc];
-      Clock::time_point T0 = Clock::now();
       Item.SimplifyFailed = !simplifyItem(Scc, Item);
-      Item.SimplifySecs = secondsSince(T0);
     };
 
     auto commit = [&](uint32_t Scc) {
@@ -963,15 +945,15 @@ const TypeReport &AnalysisSession::analyze() {
       // meta probe): regenerate the set — deterministic, so identical to
       // what the replay would have produced — and redo the slot inline.
       if (Item.SimplifyFailed) {
-        Clock::time_point T0 = Clock::now();
-        GenResult R =
-            regenerateScc(Gen, Item.Members, CG.sccs()[Scc], Schemes, S, Lat);
-        Item.Combined = std::move(R.C);
+        {
+          ScopedRegion Regen(Region::Generate);
+          GenResult R = regenerateScc(Gen, Item.Members, CG.sccs()[Scc],
+                                      Schemes, S, Lat);
+          Item.Combined = std::move(R.C);
+        }
         Item.HasCombined = true;
         Item.SimplifyFailed = !simplifyItem(Scc, Item);
-        Item.SimplifySecs += secondsSince(T0);
       }
-      Report.Stats.SimplifySecs += Item.SimplifySecs;
       // Verify what this SCC is about to commit: the combined constraint
       // set when it was materialized this run (fresh generation, or — in
       // Full mode the interesting case — a residual decode straight off
@@ -1107,8 +1089,8 @@ const TypeReport &AnalysisSession::analyze() {
     // Solves one slot (worker side). Warm probe and cold solve both run
     // here, so bundle decodes parallelize exactly like solves do.
     auto solveItem = [&](uint32_t Scc, P2Item &Item) {
-      trace::TraceSpan Span("solve", "scc");
-      if (Span.active()) {
+      ScopedRegion Span(Region::Solve, "solve", "scc");
+      if (Span.tracing()) {
         Span.Args.Scc = Scc;
         Span.Args.Fn = M.Funcs[Item.Members.front()].Name;
         Span.Args.Backend = Backend->name();
@@ -1121,11 +1103,11 @@ const TypeReport &AnalysisSession::analyze() {
           for (auto &[V, Sk] : *Bindings)
             Item.Sol.Sketches.emplace(V, std::move(Sk));
           Item.SolFromCache = true;
-          if (Span.active())
+          if (Span.tracing())
             Span.Args.Cache = "hit";
           return;
         }
-        if (Span.active())
+        if (Span.tracing())
           Span.Args.Cache = "miss";
       }
       SccArtifact *Art = ArtOfScc[Scc];
@@ -1156,7 +1138,7 @@ const TypeReport &AnalysisSession::analyze() {
       // constraint set unmaterialized, but it still must be solved.
       if (!Art || Art->ConstraintCount == 0)
         return {SccPrep::Trivial};
-      ScopedPhaseTimer PrepTimer("pipeline.solveprep");
+      ScopedRegion PrepTimer(Region::SolvePrep);
       P2Item &Item = Slots[Scc];
       for (uint32_t F : CG.sccs()[Scc])
         if (!M.Funcs[F].IsExternal)
@@ -1219,7 +1201,7 @@ const TypeReport &AnalysisSession::analyze() {
         // replayed from a cacheless earlier run ({0,0}) hash on demand.
         Hash128 SetHash = Art->SetHash;
         if (SetHash == Hash128{}) {
-          ScopedPhaseTimer HashTimer("cache.hash");
+          ScopedRegion HashTimer(Region::Hash);
           SetHash = canonicalSetHash(Art->Combined, S, Lat);
           Art->SetHash = SetHash;
         }
@@ -1235,11 +1217,8 @@ const TypeReport &AnalysisSession::analyze() {
     };
 
     auto compute = [&](uint32_t Scc) {
-      ScopedPhaseTimer Timer("pipeline.solve");
-      P2Item &Item = Slots[Scc];
-      Clock::time_point T0 = Clock::now();
-      solveItem(Scc, Item);
-      Item.SolveSecs = secondsSince(T0);
+      RunScope WorkerScope(&Run);
+      solveItem(Scc, Slots[Scc]);
     };
 
     // Commit one slot (strictly in top-down sequence order). All
@@ -1256,15 +1235,16 @@ const TypeReport &AnalysisSession::analyze() {
         // and solve inline (rare — requires eviction between the meta
         // probe and the slot's solve).
         if (Item.NeedGen) {
-          Clock::time_point T0 = Clock::now();
-          GenResult R = regenerateScc(Gen, Item.Members, CG.sccs()[Scc],
-                                      Schemes, S, Lat);
-          Art->Combined = std::move(R.C);
+          {
+            ScopedRegion Regen(Region::Generate);
+            GenResult R = regenerateScc(Gen, Item.Members, CG.sccs()[Scc],
+                                        Schemes, S, Lat);
+            Art->Combined = std::move(R.C);
+          }
+          ScopedRegion SolveTimer(Region::Solve);
           Item.Sol = Backend->solve(Art->Combined, Item.Wanted);
           Item.NeedGen = false;
-          Item.SolveSecs += secondsSince(T0);
         }
-        Report.Stats.SolveSecs += Item.SolveSecs;
         // Full verification inspects every sketch decoded from the
         // summary cache/store before anything derives from it. Iterating
         // Wanted (not the solution map) keeps the diagnostic order
@@ -1389,21 +1369,12 @@ const TypeReport &AnalysisSession::analyze() {
   Report.Stats.MaxReadyQueue = SchedStats.MaxReadyQueue;
   Report.Stats.CommitStalls = SchedStats.CommitStalls;
 
-  // Cache effectiveness across both phases (scheme AND solution probes).
-  if (Cache) {
-    Report.Stats.CacheHits = Cache->hits() - Hits0;
-    Report.Stats.CacheMisses = Cache->misses() - Misses0;
-  }
-
   // ---- Phase 3: C type conversion (§4.3) ----
   {
-    Clock::time_point T0 = Clock::now();
-    ScopedPhaseTimer Timer("pipeline.convert");
-    trace::TraceSpan Span("convert", "phase");
+    ScopedRegion Timer(Region::Convert, "convert", "phase");
     CTypeConverter Conv(Report.Pool, Lat, Opts.Conversion);
     for (auto &[F, FT] : Report.Funcs)
       FT.CType = Conv.convertFunction(FT.FuncSketch);
-    Report.Stats.ConvertSecs += secondsSince(T0);
   }
 
   // ---- Record this run's snapshots for the next incremental analyze ----
@@ -1439,7 +1410,7 @@ const TypeReport &AnalysisSession::analyze() {
   // error: it re-appends everything the store is missing, so the failed
   // attempt leaves no lasting gap.
   if (Cache && Cache->store()) {
-    trace::TraceSpan Span("store.flush", "store");
+    ScopedRegion Timer(Region::StoreFlush, "store.flush", "store");
     std::string FlushErr;
     if (Cache->flushToStore(&FlushErr))
       StoreError.clear();
@@ -1447,10 +1418,16 @@ const TypeReport &AnalysisSession::analyze() {
       StoreError = FlushErr;
   }
   Report.StoreError = StoreError;
-  const CounterSnapshot CounterDelta = Counters0.delta();
-  Report.Stats.StoreHits = CounterDelta.StoreHits;
-  Report.Stats.StoreAppends = CounterDelta.StoreAppends;
-  Report.Stats.PoolBindHits = CounterDelta.PoolBindHits;
+  // Cache effectiveness spans both phases (scheme, solution and gen
+  // probes); the store figures include the end-of-run flush above.
+  Report.Stats.CacheHits = Run.count(Counter::CacheHits);
+  Report.Stats.CacheMisses = Run.count(Counter::CacheMisses);
+  Report.Stats.GenCacheHits = Run.count(Counter::GenCacheHits);
+  Report.Stats.GenCacheMisses = Run.count(Counter::GenCacheMisses);
+  Report.Stats.StoreHits = Run.count(Counter::StoreHits);
+  Report.Stats.StoreAppends = Run.count(Counter::StoreAppends);
+  Report.Stats.PoolBindHits = Run.count(Counter::PoolBindHits);
+  Report.Stats.RegionSecs = Run.regionSeconds();
   Report.VerifyErrors = std::move(VDiags.Errors);
 
   Analyzed = true;

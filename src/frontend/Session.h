@@ -53,6 +53,7 @@
 #include "core/SummaryCache.h"
 #include "frontend/AnalysisOptions.h"
 #include "support/Hash128.h"
+#include "support/Metrics.h"
 #include "mir/MIR.h"
 
 #include <functional>
@@ -66,16 +67,16 @@
 namespace retypd {
 
 /// Wall-clock, cache, and incrementality counters for one analyze() call.
+/// Every timing and event count below is this run's own (its RunMetrics,
+/// support/Metrics.h): a concurrent session never leaks into it.
 struct PipelineStats {
   /// Solver backend that produced this run ("retypd" or "binsub") —
   /// recorded in the stats JSON so archived reports are attributable.
   std::string Backend = "retypd";
-  double GenerateSecs = 0;  ///< constraint generation (main thread)
-  double SimplifySecs = 0;  ///< scheme simplification, summed over work
-                            ///< units (CPU time: exceeds wall when parallel)
-  double SolveSecs = 0;     ///< sketch solving, summed over work units
-                            ///< (CPU time: exceeds wall when parallel)
-  double ConvertSecs = 0;   ///< C-type conversion (sequential)
+  /// Seconds per timed region. Worker-side regions (simplify, solve, the
+  /// codec) sum over work units, so they exceed wall time when parallel.
+  RegionSeconds RegionSecs{};
+  double secs(Region R) const { return RegionSecs[static_cast<size_t>(R)]; }
   size_t SccCount = 0;
   unsigned JobsUsed = 1;
 

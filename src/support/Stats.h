@@ -5,23 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Process-wide counters used by the scaling benchmarks (Figures 11 and 12).
-/// The memory counters are driven by operator new/delete hooks that are only
-/// linked into benchmark binaries (bench/MemHooks.cpp); in ordinary builds
-/// the counters stay at zero.
+/// Process-wide allocation counters used by the scaling benchmarks
+/// (Figures 11 and 12). They are driven by operator new/delete hooks that
+/// are only linked into benchmark binaries (bench/MemHooks.cpp); in
+/// ordinary builds they stay at zero. Event counters and timed regions
+/// live in support/Metrics.h, included here for its consumers.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RETYPD_SUPPORT_STATS_H
 #define RETYPD_SUPPORT_STATS_H
 
+#include "support/Metrics.h"
+
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace retypd {
 
@@ -40,124 +39,6 @@ struct MemStats {
 
   /// Records a deallocation of \p Size bytes.
   static void noteFree(size_t Size);
-};
-
-/// Process-wide event counters for data-plane invariants and benchmarks.
-/// The headline one is ConstraintParseCalls: warm-cache analysis runs must
-/// perform ZERO ConstraintParser invocations (schemes replay through the
-/// binary codec of core/SchemeCodec.h), and tests assert it by
-/// snapshotting this counter around the warm run.
-struct EventCounters {
-  static std::atomic<uint64_t> ConstraintParseCalls;
-  static std::atomic<uint64_t> SchemeDecodes; ///< binary payload decodes
-  static std::atomic<uint64_t> SchemeEncodes; ///< binary payload encodes
-  /// Generation-result cache probes (SummaryCache::lookupGen). A fully
-  /// warm run must show zero misses and nonzero hits — bench_warmpath and
-  /// the gen-cache tests assert it.
-  static std::atomic<uint64_t> GenCacheHits;
-  static std::atomic<uint64_t> GenCacheMisses;
-
-  /// Artifact-store (store/Store.h) counters. StoreHits are cache probes
-  /// served from the on-disk store; StoreAppends/StoreCompactions are the
-  /// write side. StorePayloadCopies counts store lookups that could NOT
-  /// be served zero-copy out of a memory-mapped segment (the pread
-  /// fallback for filesystems without mmap) — it must stay ZERO on the
-  /// mmap read path, and bench_store plus the store tests assert it.
-  static std::atomic<uint64_t> StoreHits;
-  static std::atomic<uint64_t> StoreAppends;
-  static std::atomic<uint64_t> StoreCompactions;
-  static std::atomic<uint64_t> StorePayloadCopies;
-  /// Store records validated structurally at segment-open (scan time).
-  /// With open-time validation in place, per-lookup decodes run the
-  /// trusted fast path — so this counter plus SchemeDecodes together
-  /// prove validation happened exactly once per record, not per probe.
-  static std::atomic<uint64_t> SegmentValidates;
-  /// Name-pool binding counters. PoolBinds counts pool names translated
-  /// to SymbolTable ids (batch interning at first use per store
-  /// generation); PoolBindHits counts store probes whose payload resolved
-  /// every name through the translation table — i.e. with zero string
-  /// hashing. A warm run must show nonzero PoolBindHits.
-  static std::atomic<uint64_t> PoolBinds;
-  static std::atomic<uint64_t> PoolBindHits;
-  /// Top-level objects checked by the formation-rule verifier
-  /// (core/Verifier.h). With --verify=off this must stay ZERO — the
-  /// verifier adds no work to the hot path — and bench_warmpath asserts
-  /// it.
-  static std::atomic<uint64_t> VerifierChecks;
-  /// Events recorded by the structured tracer (support/Trace.h). With
-  /// tracing off this must stay ZERO — same zero-cost-off contract as
-  /// VerifierChecks — and bench_warmpath asserts it.
-  static std::atomic<uint64_t> TraceEvents;
-
-  /// Zeroes every counter. Call between measured runs.
-  static void reset();
-};
-
-/// Point-in-time copy of every EventCounters value. Replaces the ad-hoc
-/// `uint64_t StoreHits0 = EventCounters::StoreHits.load(...)` before/after
-/// pairs: take() one snapshot before a measured region, then delta() against
-/// the live counters afterwards.
-struct CounterSnapshot {
-  uint64_t ConstraintParseCalls = 0;
-  uint64_t SchemeDecodes = 0;
-  uint64_t SchemeEncodes = 0;
-  uint64_t GenCacheHits = 0;
-  uint64_t GenCacheMisses = 0;
-  uint64_t StoreHits = 0;
-  uint64_t StoreAppends = 0;
-  uint64_t StoreCompactions = 0;
-  uint64_t StorePayloadCopies = 0;
-  uint64_t SegmentValidates = 0;
-  uint64_t PoolBinds = 0;
-  uint64_t PoolBindHits = 0;
-  uint64_t VerifierChecks = 0;
-  uint64_t TraceEvents = 0;
-
-  /// Copies the current EventCounters values (relaxed loads).
-  static CounterSnapshot take();
-
-  /// Member-wise (current counters) - (this snapshot). Call on the
-  /// snapshot taken BEFORE the measured region.
-  CounterSnapshot delta() const;
-};
-
-/// Process-wide named wall-clock accumulators for pipeline stages. Worker
-/// threads add to the same counter concurrently, so a stage's total can
-/// exceed the elapsed wall time — that surplus IS the parallelism, and the
-/// scaling benchmarks report it as such.
-class PhaseTimes {
-public:
-  /// Accumulates \p Seconds onto the named phase counter (creating it on
-  /// first use). Thread safe.
-  static void add(const char *Phase, double Seconds);
-
-  /// Snapshot of (phase, accumulated seconds). CONTRACT: the result is
-  /// sorted ascending by phase name (the registry is an ordered map), so
-  /// consumers must NOT re-sort it — tests/support/StatsTest.cpp pins
-  /// this.
-  static std::vector<std::pair<std::string, double>> snapshot();
-
-  /// Zeroes every counter. Call between measured runs.
-  static void reset();
-};
-
-/// RAII helper: accumulates its lifetime onto a PhaseTimes counter.
-class ScopedPhaseTimer {
-public:
-  explicit ScopedPhaseTimer(const char *Phase)
-      : Phase(Phase), Start(std::chrono::steady_clock::now()) {}
-  ~ScopedPhaseTimer() {
-    PhaseTimes::add(
-        Phase, std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - Start)
-                   .count());
-  }
-  ScopedPhaseTimer(const ScopedPhaseTimer &) = delete;
-  ScopedPhaseTimer &operator=(const ScopedPhaseTimer &) = delete;
-
-private:
-  const char *Phase;
-  std::chrono::steady_clock::time_point Start;
 };
 
 } // namespace retypd

@@ -2,7 +2,7 @@
 
 #include "support/Trace.h"
 
-#include "support/Stats.h"
+#include "support/Metrics.h"
 
 #include <algorithm>
 #include <chrono>
@@ -160,11 +160,11 @@ namespace detail {
 
 std::atomic<bool> Enabled{false};
 
-double nowUs() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - TraceStart)
-      .count();
+double toUs(std::chrono::steady_clock::time_point T) {
+  return std::chrono::duration<double, std::micro>(T - TraceStart).count();
 }
+
+double nowUs() { return toUs(std::chrono::steady_clock::now()); }
 
 void record(const char *Name, const char *Cat, char Ph, double TsUs,
             double DurUs, SpanArgs &&Args) {
@@ -177,7 +177,7 @@ void record(const char *Name, const char *Cat, char Ph, double TsUs,
   E.DurUs = DurUs;
   E.Args = std::move(Args);
   myBuffer().append(std::move(E));
-  EventCounters::TraceEvents.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::TraceEvents);
 }
 
 } // namespace detail
@@ -310,7 +310,7 @@ std::vector<ProfileRow> buildProfile(const std::vector<Event> &Events) {
     double Secs = E.DurUs / 1e6;
     std::string_view Name(E.Name);
     if (Name == "generate") {
-      Row.GenerateSecs += Secs;
+      Row.GenSecs += Secs;
       if (E.Args.Cache != nullptr)
         Row.GenCache = E.Args.Cache;
     } else if (Name == "simplify") {
@@ -361,7 +361,7 @@ std::string renderProfileTable(const std::vector<ProfileRow> &Rows, size_t N,
                   "%5lld  %-24s %-7s %9.6f %9.6f %9.6f %9.6f %9.6f %7lld "
                   "%7lld %-7s %-7s\n",
                   static_cast<long long>(Row.Scc), Fn.c_str(),
-                  Row.Backend.c_str(), Row.TotalSecs, Row.GenerateSecs,
+                  Row.Backend.c_str(), Row.TotalSecs, Row.GenSecs,
                   Row.SimplifySecs, Row.SolveSecs, Row.RefineSecs,
                   static_cast<long long>(Row.Constraints),
                   static_cast<long long>(Row.JoinOps),
@@ -396,7 +396,7 @@ std::string profileJson(const std::vector<ProfileRow> &Rows, size_t N) {
                   ", \"total_secs\": %.6f, \"generate_secs\": %.6f, "
                   "\"simplify_secs\": %.6f, \"solve_secs\": %.6f, "
                   "\"refine_secs\": %.6f",
-                  Row.TotalSecs, Row.GenerateSecs, Row.SimplifySecs,
+                  Row.TotalSecs, Row.GenSecs, Row.SimplifySecs,
                   Row.SolveSecs, Row.RefineSecs);
     Out += Buf;
     Out += ", \"constraints\": " + std::to_string(Row.Constraints) +

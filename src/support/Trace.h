@@ -11,7 +11,11 @@
 //
 // Zero-cost when off: TraceSpan's constructor does a single relaxed atomic
 // load and nothing else; no buffers are allocated, no strings are built,
-// and EventCounters::TraceEvents stays 0 (gated by bench_warmpath).
+// and EventCounters::TraceEvents stays 0 (gated by bench_warmpath and by
+// every untraced run of the perfbench benchmark).
+//
+// Spans that also time a metrics region are recorded by ScopedRegion
+// (support/Metrics.h) from the region's own clock readings.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +23,7 @@
 #define RETYPD_SUPPORT_TRACE_H
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,6 +61,8 @@ namespace detail {
 extern std::atomic<bool> Enabled;
 void record(const char *Name, const char *Cat, char Ph, double TsUs,
             double DurUs, SpanArgs &&Args);
+/// Microseconds from trace::start() to \p T.
+double toUs(std::chrono::steady_clock::time_point T);
 double nowUs();
 } // namespace detail
 
@@ -131,7 +138,7 @@ struct ProfileRow {
   int64_t Scc = -1;
   std::string Fn;
   std::string Backend;
-  double GenerateSecs = 0.0;
+  double GenSecs = 0.0;
   double SimplifySecs = 0.0;
   double SolveSecs = 0.0;
   double RefineSecs = 0.0;

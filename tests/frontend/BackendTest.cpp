@@ -307,5 +307,6 @@ TEST(BackendTest, DiamondLadderUnderBinSub) {
     EXPECT_EQ(Par.Text, Seq.Text) << "diamond binsub jobs=" << Jobs;
   }
   std::printf("diamond(12) binsub: simplify=%.3fs solve=%.3fs\n",
-              Seq.R.Stats.SimplifySecs, Seq.R.Stats.SolveSecs);
+              Seq.R.Stats.secs(Region::Simplify),
+              Seq.R.Stats.secs(Region::Solve));
 }

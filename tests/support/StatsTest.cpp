@@ -1,9 +1,7 @@
-//===- StatsTest.cpp - PhaseTimes + CounterSnapshot tests -----------------===//
+//===- StatsTest.cpp - CounterSnapshot tests ------------------------------===//
 //
-// Pins the PhaseTimes::snapshot() ordering contract (sorted ascending by
-// phase name — consumers like bench_warmpath binary-search it instead of
-// re-sorting) and covers the CounterSnapshot take()/delta() pair that
-// replaced the ad-hoc `uint64_t X0 = EventCounters::X.load()` snapshots.
+// Covers the CounterSnapshot take()/delta() pair generated from the
+// counter table in support/Metrics.h.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,30 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 using namespace retypd;
-
-TEST(StatsTest, SnapshotIsSortedByPhaseName) {
-  PhaseTimes::reset();
-  // Register deliberately out of order; the snapshot must come back
-  // sorted regardless of insertion or accumulation order.
-  PhaseTimes::add("zeta.last", 1.0);
-  PhaseTimes::add("alpha.first", 2.0);
-  PhaseTimes::add("mid.phase", 3.0);
-  PhaseTimes::add("alpha.first", 0.5); // accumulate, not duplicate
-
-  auto Snap = PhaseTimes::snapshot();
-  ASSERT_EQ(Snap.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(
-      Snap.begin(), Snap.end(),
-      [](const auto &A, const auto &B) { return A.first < B.first; }));
-  EXPECT_EQ(Snap[0].first, "alpha.first");
-  EXPECT_DOUBLE_EQ(Snap[0].second, 2.5);
-  EXPECT_EQ(Snap[1].first, "mid.phase");
-  EXPECT_EQ(Snap[2].first, "zeta.last");
-  PhaseTimes::reset();
-}
 
 TEST(StatsTest, CounterSnapshotDeltaIsolatesTheMeasuredRegion) {
   EventCounters::reset();

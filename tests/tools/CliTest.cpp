@@ -149,6 +149,34 @@ TEST(CliTest, JsonFormat) {
   EXPECT_EQ(R.Exit, 2);
 }
 
+TEST(CliTest, StatsCarrySchemaVersionAndRegionSeconds) {
+  // Stats JSON renders every timed region from the metrics table; the four
+  // classic phase keys keep their names.
+  CmdResult R =
+      runCli("analyze --format=json --stats " + goldenAsm("list_traverse.asm"));
+  EXPECT_EQ(R.Exit, 0) << R.Out;
+  EXPECT_NE(R.Out.find("\"stats\": {\"stats_schema\": 2, "), std::string::npos)
+      << R.Out;
+  for (const char *Key : {"\"generate_secs\": ", "\"simplify_secs\": ",
+                          "\"solve_secs\": ", "\"convert_secs\": "})
+    EXPECT_NE(R.Out.find(Key), std::string::npos) << Key << "\n" << R.Out;
+
+  // The text line keeps its exact shape: %n is set only if the whole
+  // format, through the closing "*/", matched.
+  R = runCli("analyze --stats " + goldenAsm("list_traverse.asm"));
+  EXPECT_EQ(R.Exit, 0) << R.Out;
+  size_t At = R.Out.find("/* stats: ");
+  ASSERT_NE(At, std::string::npos) << R.Out;
+  double Secs[4] = {};
+  unsigned long long Hits = 0, Misses = 0;
+  int End = 0;
+  std::sscanf(R.Out.c_str() + At,
+              "/* stats: backend=retypd jobs=1 sccs=3 gen=%lfs simplify=%lfs "
+              "solve=%lfs convert=%lfs cache_hits=%llu cache_misses=%llu */%n",
+              &Secs[0], &Secs[1], &Secs[2], &Secs[3], &Hits, &Misses, &End);
+  EXPECT_GT(End, 0) << R.Out;
+}
+
 TEST(CliTest, CacheInspectAndPrune) {
   fs::path Cache = fs::temp_directory_path() / "cli_cache.bin";
   fs::remove(Cache);

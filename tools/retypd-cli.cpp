@@ -468,8 +468,9 @@ void printReport(AnalysisSession &S, const AnalyzeOpts &O,
     std::printf("/* stats: backend=%s jobs=%u sccs=%zu "
                 "gen=%.3fs simplify=%.3fs solve=%.3fs convert=%.3fs "
                 "cache_hits=%llu cache_misses=%llu */\n",
-                St.Backend.c_str(), St.JobsUsed, St.SccCount, St.GenerateSecs,
-                St.SimplifySecs, St.SolveSecs, St.ConvertSecs,
+                St.Backend.c_str(), St.JobsUsed, St.SccCount,
+                St.secs(Region::Generate), St.secs(Region::Simplify),
+                St.secs(Region::Solve), St.secs(Region::Convert),
                 static_cast<unsigned long long>(St.CacheHits),
                 static_cast<unsigned long long>(St.CacheMisses));
     std::printf("/* incremental: %s dirty=%zu sccs_simplified=%zu "
