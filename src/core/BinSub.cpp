@@ -3,6 +3,7 @@
 #include "core/BinSub.h"
 
 #include "core/ShapeGraph.h"
+#include "core/SolverBackend.h"
 
 #include "support/Trace.h"
 
@@ -102,11 +103,11 @@ TypeScheme BinSubBackend::simplify(
     }
   }
 
-  // Variables used in additive constraints cannot be eliminated.
-  std::unordered_set<TypeVariable> Protected;
-  for (const AddSubConstraint &AC : C.addSubs())
-    for (const DerivedTypeVariable *D : {&AC.X, &AC.Y, &AC.Z})
-      Protected.insert(D->base());
+  // Operands of anchored additive constraints (the ones the scheme
+  // exports, see anchoredAddSubs) are live and cannot be eliminated.
+  const std::vector<bool> Anchored = anchoredAddSubs(C, ProcVar, Interesting);
+  const std::unordered_set<TypeVariable> Protected =
+      anchoredOperandBases(C, Anchored);
 
   // ---- Bisubstitution elimination ----------------------------------------
   // An uninteresting variable with only bare occurrences is eliminated by
@@ -172,9 +173,11 @@ TypeScheme BinSubBackend::simplify(
   // Surviving uninteresting variables that never (transitively, through
   // shared constraints) relate to an interesting base contribute nothing
   // to the scheme's interface; drop the constraints that only mention
-  // them. This plays the role of retypd's source/sink co-reachability.
+  // them. This plays the role of retypd's source/sink co-reachability;
+  // anchored add/sub operands are seeded live, as retypd seeds them as
+  // extra sources and sinks.
   {
-    std::unordered_set<TypeVariable> Marked;
+    std::unordered_set<TypeVariable> Marked = Protected;
     bool Changed = true;
     while (Changed) {
       Changed = false;
@@ -188,9 +191,6 @@ TypeScheme BinSubBackend::simplify(
           Changed = true;
       }
     }
-    for (const AddSubConstraint &AC : C.addSubs())
-      for (const DerivedTypeVariable *D : {&AC.X, &AC.Y, &AC.Z})
-        Marked.insert(D->base());
     std::vector<SubtypeConstraint> Kept;
     Kept.reserve(Subs.size());
     for (const SubtypeConstraint &SC : Subs) {
@@ -231,18 +231,29 @@ TypeScheme BinSubBackend::simplify(
     if (A != B)
       Out.addSubtype(std::move(A), std::move(B));
   }
-  // Keep capability declarations rooted at the procedure variable: the
-  // explicit ones, plus every proc-rooted DTV the constraints mention.
+  // Keep capability declarations rooted at the procedure variable (the
+  // explicit ones, plus every proc-rooted DTV the constraints mention),
+  // and those of anchored add/sub operands, renamed: they are the pointer
+  // evidence for the callers' classification of the exported add/subs.
+  auto KeepCapability = [&](const DerivedTypeVariable &D) {
+    if (D.base() == ProcVar)
+      Out.addVar(D);
+    else if (!D.isBaseOnly() && Protected.count(D.base()))
+      Out.addVar(Rename(D));
+  };
   for (const DerivedTypeVariable &V : C.vars())
-    if (V.base() == ProcVar)
-      Out.addVar(V);
+    KeepCapability(V);
   for (const SubtypeConstraint &SC : C.subtypes())
     for (const DerivedTypeVariable *D : {&SC.Lhs, &SC.Rhs})
-      if (D->base() == ProcVar)
-        Out.addVar(*D);
-  for (const AddSubConstraint &AC : C.addSubs())
-    Out.addAddSub(AddSubConstraint{AC.IsSub, Rename(AC.X), Rename(AC.Y),
-                                   Rename(AC.Z)});
+      KeepCapability(*D);
+  // Only anchored additive constraints are exported; detached ones are
+  // dropped.
+  for (size_t I = 0; I < Anchored.size(); ++I) {
+    const AddSubConstraint &AC = C.addSubs()[I];
+    if (Anchored[I])
+      Out.addAddSub(AddSubConstraint{AC.IsSub, Rename(AC.X), Rename(AC.Y),
+                                     Rename(AC.Z)});
+  }
 
   TypeScheme Scheme;
   Scheme.ProcVar = ProcVar;

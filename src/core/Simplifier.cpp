@@ -3,6 +3,7 @@
 #include "core/Simplifier.h"
 
 #include "core/ShapeGraph.h"
+#include "core/SolverBackend.h"
 
 #include <algorithm>
 #include <cassert>
@@ -27,18 +28,29 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
   auto IsInteresting = [&](TypeVariable V) {
     return V.isConstant() || V == ProcVar || Interesting.count(V) != 0;
   };
+  // Anchored add/subs act as hyperedges over their operands: the operand
+  // bases are extra sources and sinks of the liveness pass (so the subtype
+  // links that tie an exported add to the interface survive), but they
+  // are not interesting, so they are still renamed to existentials.
+  const std::vector<bool> Anchored = anchoredAddSubs(C, ProcVar, Interesting);
+  const std::unordered_set<TypeVariable> AnchorOps =
+      anchoredOperandBases(C, Anchored);
+  auto IsLiveRoot = [&](const DerivedTypeVariable &Dtv) {
+    return Dtv.isBaseOnly() &&
+           (IsInteresting(Dtv.base()) || AnchorOps.count(Dtv.base()) != 0);
+  };
 
   ConstraintGraph G(C);
   G.saturate();
   const size_t NumNodes = G.numNodes();
 
   // Forward reachability over the phase product automaton. Sources: base
-  // nodes of interesting variables, both variance tags, in recall phase.
+  // nodes of interesting variables and anchored operands, both variance
+  // tags, in recall phase.
   std::vector<bool> Fwd(2 * NumNodes, false);
   std::deque<uint32_t> Work;
   for (GraphNodeId N = 0; N < NumNodes; ++N) {
-    const GraphNode &Node = G.node(N);
-    if (Node.Dtv.isBaseOnly() && IsInteresting(Node.Dtv.base())) {
+    if (IsLiveRoot(G.node(N).Dtv)) {
       Fwd[productState(N, RecallPhase)] = true;
       Work.push_back(productState(N, RecallPhase));
     }
@@ -70,7 +82,7 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
     }
   }
 
-  // Backward co-reachability to sinks (interesting base nodes, any phase).
+  // Backward co-reachability to sinks (the same base nodes, any phase).
   // Build reverse product adjacency implicitly by scanning edges.
   std::vector<std::vector<uint32_t>> RevAdj(2 * NumNodes);
   for (GraphNodeId N = 0; N < NumNodes; ++N) {
@@ -97,8 +109,7 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
   }
   std::vector<bool> Bwd(2 * NumNodes, false);
   for (GraphNodeId N = 0; N < NumNodes; ++N) {
-    const GraphNode &Node = G.node(N);
-    if (Node.Dtv.isBaseOnly() && IsInteresting(Node.Dtv.base())) {
+    if (IsLiveRoot(G.node(N).Dtv)) {
       for (Phase P : {RecallPhase, ForgetPhase}) {
         if (!Bwd[productState(N, P)]) {
           Bwd[productState(N, P)] = true;
@@ -181,11 +192,23 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
         G.node(N).Tag == Variance::Covariant)
       Out.addVar(G.node(N).Dtv);
 
-  // Carry additive constraints over (renamed); they are cheap and needed by
-  // the pointer/integer classification downstream.
-  for (const AddSubConstraint &AC : C.addSubs())
-    Out.addAddSub(AddSubConstraint{AC.IsSub, Rename(AC.X), Rename(AC.Y),
-                                   Rename(AC.Z)});
+  // Export the anchored additive constraints (renamed) for the callers'
+  // pointer/integer classification (Figure 13), with their operands'
+  // capability declarations as its pointer evidence: without `var τ.load`
+  // the solver's "no pointer evidence -> integer" default would type a
+  // pointer stepped by `add` as an integer. Detached add/subs are dropped.
+  for (size_t I = 0; I < Anchored.size(); ++I) {
+    const AddSubConstraint &AC = C.addSubs()[I];
+    if (Anchored[I])
+      Out.addAddSub(AddSubConstraint{AC.IsSub, Rename(AC.X), Rename(AC.Y),
+                                     Rename(AC.Z)});
+  }
+  for (GraphNodeId N = 0; N < NumNodes; ++N) {
+    const GraphNode &Node = G.node(N);
+    if (Node.Tag == Variance::Covariant && !Node.Dtv.isBaseOnly() &&
+        AnchorOps.count(Node.Dtv.base()))
+      Out.addVar(Rename(Node.Dtv));
+  }
 
   // ---------------- Tidy pass ----------------
   std::vector<SubtypeConstraint> Subs(Out.subtypes().begin(),
@@ -243,7 +266,8 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
       if (Ok == 1)
         Existential.erase(Base);
   }
-  // Variables used in additive constraints cannot be inlined away.
+  // Operands of exported (anchored) additive constraints cannot be inlined
+  // away.
   std::unordered_set<TypeVariable> Protected;
   for (const AddSubConstraint &AC : Out.addSubs())
     for (const DerivedTypeVariable *D : {&AC.X, &AC.Y, &AC.Z})
@@ -310,10 +334,17 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
   // 3.1): they denote the same sketch node, so one variable suffices.
   // This is what collapses the two intermediate views of a recursive
   // structure into the single τ of Figure 2.
+  std::unordered_map<TypeVariable, TypeVariable> Merge;
+  auto Apply = [&](const DerivedTypeVariable &D) {
+    auto It = Merge.find(D.base());
+    if (It == Merge.end())
+      return D;
+    return DerivedTypeVariable(
+        It->second, std::vector<Label>(D.labels().begin(), D.labels().end()));
+  };
   {
     ShapeGraph Shapes(Pruned);
     std::unordered_map<uint32_t, TypeVariable> RepOfClass;
-    std::unordered_map<TypeVariable, TypeVariable> Merge;
     for (TypeVariable V : Existentials) {
       if (!Existential.count(V))
         continue;
@@ -327,14 +358,6 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
       }
     }
     if (!Merge.empty()) {
-      auto Apply = [&](const DerivedTypeVariable &D) {
-        auto It = Merge.find(D.base());
-        if (It == Merge.end())
-          return D;
-        return DerivedTypeVariable(
-            It->second,
-            std::vector<Label>(D.labels().begin(), D.labels().end()));
-      };
       ConstraintSet Merged;
       for (const SubtypeConstraint &SC : Pruned.subtypes()) {
         DerivedTypeVariable L = Apply(SC.Lhs), R2 = Apply(SC.Rhs);
@@ -350,7 +373,7 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
 
   ConstraintSet Final = std::move(Pruned);
   for (const DerivedTypeVariable &V : Out.vars())
-    Final.addVar(V);
+    Final.addVar(Apply(V));
 
   TypeScheme Scheme;
   Scheme.ProcVar = ProcVar;

@@ -4,6 +4,10 @@
 
 #include "core/BinSub.h"
 #include "support/Trace.h"
+#include "support/UnionFind.h"
+
+#include <optional>
+#include <unordered_map>
 
 using namespace retypd;
 
@@ -23,6 +27,70 @@ std::optional<BackendKind> retypd::parseBackendKind(std::string_view Name) {
   if (Name == "binsub")
     return BackendKind::BinSub;
   return std::nullopt;
+}
+
+std::vector<bool>
+retypd::anchoredAddSubs(const ConstraintSet &C, TypeVariable ProcVar,
+                        const std::unordered_set<TypeVariable> &Interesting) {
+  if (C.addSubs().empty())
+    return {};
+  std::unordered_map<TypeVariable, uint32_t> Key;
+  UnionFind UF;
+  auto KeyOf = [&](TypeVariable V) {
+    auto [It, Inserted] = Key.emplace(V, 0);
+    if (Inserted)
+      It->second = UF.makeSet();
+    return It->second;
+  };
+  for (const SubtypeConstraint &SC : C.subtypes()) {
+    TypeVariable L = SC.Lhs.base(), R = SC.Rhs.base();
+    if (!L.isConstant() && !R.isConstant())
+      UF.unite(KeyOf(L), KeyOf(R));
+  }
+  // One operand key per add/sub (none if all operands are constants).
+  std::vector<std::optional<uint32_t>> OperandKey;
+  OperandKey.reserve(C.addSubs().size());
+  for (const AddSubConstraint &AC : C.addSubs()) {
+    std::optional<uint32_t> First;
+    for (const DerivedTypeVariable *D : {&AC.X, &AC.Y, &AC.Z}) {
+      if (D->base().isConstant())
+        continue;
+      uint32_t K = KeyOf(D->base());
+      First = First ? UF.unite(*First, K) : K;
+    }
+    OperandKey.push_back(First);
+  }
+
+  std::unordered_set<uint32_t> AnchorRoots;
+  auto NoteAnchor = [&](TypeVariable V) {
+    auto It = Key.find(V);
+    if (It != Key.end())
+      AnchorRoots.insert(UF.find(It->second));
+  };
+  NoteAnchor(ProcVar);
+  for (TypeVariable V : Interesting)
+    NoteAnchor(V);
+
+  std::vector<bool> Anchored;
+  Anchored.reserve(OperandKey.size());
+  for (const std::optional<uint32_t> &K : OperandKey)
+    Anchored.push_back(K && AnchorRoots.count(UF.find(*K)) != 0);
+  return Anchored;
+}
+
+std::unordered_set<TypeVariable>
+retypd::anchoredOperandBases(const ConstraintSet &C,
+                             const std::vector<bool> &Anchored) {
+  std::unordered_set<TypeVariable> Bases;
+  for (size_t I = 0; I < Anchored.size(); ++I) {
+    if (!Anchored[I])
+      continue;
+    const AddSubConstraint &AC = C.addSubs()[I];
+    for (const DerivedTypeVariable *D : {&AC.X, &AC.Y, &AC.Z})
+      if (!D->base().isConstant())
+        Bases.insert(D->base());
+  }
+  return Bases;
 }
 
 namespace {

@@ -47,6 +47,8 @@
 #include "core/Solver.h"
 
 #include <memory>
+#include <unordered_set>
+#include <vector>
 
 namespace retypd {
 
@@ -71,6 +73,27 @@ public:
   virtual SketchSolution solve(const ConstraintSet &C,
                                std::span<const TypeVariable> Wanted) const = 0;
 };
+
+/// Additive-constraint anchoring, shared by both backends' scheme export.
+/// Bases of \p C are partitioned into components: each subtype constraint
+/// joins its two bases and each add/sub joins its non-constant operand
+/// bases. Lattice constants join nothing (everything would otherwise
+/// connect through `int`). An add/sub is *anchored* when its component
+/// holds \p ProcVar or a member of \p Interesting; only anchored ones say
+/// anything to a caller, so only they are exported. Detached ones are
+/// dropped — re-importing them at every call site is what made per-SCC
+/// constraint sets double per layer of a diamond call graph.
+/// Returns one flag per entry of `C.addSubs()`, in order.
+std::vector<bool>
+anchoredAddSubs(const ConstraintSet &C, TypeVariable ProcVar,
+                const std::unordered_set<TypeVariable> &Interesting);
+
+/// The non-constant operand bases of the add/subs \p Anchored flags (see
+/// anchoredAddSubs). Both backends treat them as live, protect them from
+/// elimination, and export their capability declarations as the pointer
+/// evidence the Figure 13 classification reads.
+std::unordered_set<TypeVariable>
+anchoredOperandBases(const ConstraintSet &C, const std::vector<bool> &Anchored);
 
 /// Constructs the backend for \p Kind. The references must outlive the
 /// returned backend; \p Opts is copied.

@@ -39,8 +39,13 @@ SummaryKey SummaryCache::keyFor(const Hash128 &SetHash,
                                 const std::vector<std::string> &InterestingNames,
                                 const SimplifyOptions &Opts,
                                 BackendKind Backend) {
+  // The version salt names the scheme-export algorithm, for every backend:
+  // bump it whenever the same input set would simplify to a different
+  // scheme, so a store warmed by the old export misses instead of serving
+  // stale schemes. v4: only anchored additive constraints are exported
+  // (core/SolverBackend.h, anchoredAddSubs).
   Fnv128 H;
-  H.update("retypd-summary-v3");
+  H.update("retypd-summary-v4");
   H.sep();
   H.updateU64(SetHash.Hi);
   H.updateU64(SetHash.Lo);
@@ -51,9 +56,8 @@ SummaryKey SummaryCache::keyFor(const Hash128 &SetHash,
   H.sep();
   H.updateU64(Opts.MaxTidyIterations);
   H.updateU64(Opts.BloatSlack);
-  // The default backend hashes the exact historical byte stream, so
-  // every pre-seam store/cache file stays warm; other backends extend
-  // the stream and land in a disjoint key space.
+  // Backends other than the default extend the stream with their name
+  // and so land in a key space disjoint from retypd's.
   if (Backend != BackendKind::Retypd) {
     H.sep();
     H.update(backendName(Backend));
@@ -77,6 +81,9 @@ SummaryKey SummaryCache::solveKeyFor(const Hash128 &SetHash,
                                      const std::vector<std::string>
                                          &WantedNames,
                                      BackendKind Backend) {
+  // No export-version salt needed here: the solved set already contains
+  // the callee schemes instantiated into it, so a change in what a scheme
+  // exports changes SetHash itself.
   Fnv128 H;
   H.update("retypd-solve-v1");
   H.sep();

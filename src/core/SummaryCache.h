@@ -125,9 +125,9 @@ public:
   /// canonical structural view, so two structurally identical problems key
   /// identically regardless of symbol ids or constraint insertion order —
   /// and no canonical text is ever materialized. \p Backend participates
-  /// in the key (the default retypd backend hashes the exact historical
-  /// byte stream, so existing stores stay warm), so artifacts produced by
-  /// different solver backends never collide.
+  /// in the key, so artifacts produced by different solver backends never
+  /// collide, and so does a scheme-export version salt, so schemes cached
+  /// by an older export algorithm are never replayed.
   static SummaryKey keyFor(const ConstraintSet &C, TypeVariable ProcVar,
                            const std::vector<std::string> &InterestingNames,
                            const SimplifyOptions &Opts,

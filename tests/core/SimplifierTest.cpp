@@ -32,13 +32,17 @@ protected:
   /// entails Lhs <= Rhs for DTVs over interesting variables.
   bool schemeDerives(const TypeScheme &S, const std::string &Lhs,
                      const std::string &Rhs) {
-    ConstraintGraph G(S.Constraints);
-    G.saturate();
     auto L = Parser.parseDtv(Lhs);
     auto R = Parser.parseDtv(Rhs);
     EXPECT_TRUE(L && R) << Parser.error();
-    GraphNodeId Ln = G.lookup(*L, Variance::Covariant);
-    GraphNodeId Rn = G.lookup(*R, Variance::Covariant);
+    return L && R && schemeDerives(S, *L, *R);
+  }
+  bool schemeDerives(const TypeScheme &S, const DerivedTypeVariable &L,
+                     const DerivedTypeVariable &R) {
+    ConstraintGraph G(S.Constraints);
+    G.saturate();
+    GraphNodeId Ln = G.lookup(L, Variance::Covariant);
+    GraphNodeId Rn = G.lookup(R, Variance::Covariant);
     if (Ln == ConstraintGraph::NoNode || Rn == ConstraintGraph::NoNode)
       return false;
     for (GraphNodeId N : G.oneReachableFrom(Ln))
@@ -167,5 +171,45 @@ TEST_F(SimplifierTest, AddSubSurvives) {
     z <= F.out
   )");
   TypeScheme S = Simp.simplify(C, var("F"), {});
-  EXPECT_EQ(S.Constraints.addSubs().size(), 1u);
+  ASSERT_EQ(S.Constraints.addSubs().size(), 1u);
+  // The kept add is linked to the interface, not a detached copy: its
+  // operand is bounded below by F.in0 and its result flows to F.out.
+  const AddSubConstraint &AC = S.Constraints.addSubs().front();
+  EXPECT_TRUE(schemeDerives(S, *Parser.parseDtv("F.in0"), AC.X))
+      << S.str(Syms, Lat);
+  EXPECT_TRUE(schemeDerives(S, AC.Z, *Parser.parseDtv("F.out")))
+      << S.str(Syms, Lat);
+}
+
+TEST_F(SimplifierTest, DetachedAddSubDropped) {
+  // `a` meets F only through the lattice constant `int`, which anchors
+  // nothing: the add says nothing about F's interface, so neither it nor
+  // an existential for its operands reaches the scheme.
+  ConstraintSet C = parse(R"(
+    F.in0 <= int
+    int <= a
+    add(a, k; z)
+  )");
+  TypeScheme S = Simp.simplify(C, var("F"), {});
+  EXPECT_TRUE(S.Constraints.addSubs().empty()) << S.str(Syms, Lat);
+  EXPECT_TRUE(S.Existentials.empty()) << S.str(Syms, Lat);
+}
+
+TEST_F(SimplifierTest, AnchoredOperandKeepsPointerEvidence) {
+  // p is stepped by an add and dereferenced. The load leads nowhere
+  // interesting, but it is the pointer evidence callers need to classify
+  // the add (Figure 13), so the scheme declares `var τ.load`.
+  ConstraintSet C = parse(R"(
+    F.in0 <= p
+    add(p, k; p)
+    p.load <= x
+  )");
+  TypeScheme S = Simp.simplify(C, var("F"), {});
+  ASSERT_EQ(S.Constraints.addSubs().size(), 1u);
+  const TypeVariable P = S.Constraints.addSubs().front().X.base();
+  EXPECT_NE(P, var("p")) << "operand must be renamed to an existential";
+  bool HasLoad = false;
+  for (const DerivedTypeVariable &V : S.Constraints.vars())
+    HasLoad |= V.base() == P && V.size() == 1 && V.lastLabel() == Label::load();
+  EXPECT_TRUE(HasLoad) << S.str(Syms, Lat);
 }

@@ -104,6 +104,23 @@ TEST_F(SummaryCacheTest, KeyIsSymbolTableIndependent) {
   EXPECT_EQ(K1, K2);
 }
 
+TEST_F(SummaryCacheTest, KeyCarriesSchemeExportVersion) {
+  // Digests of one fixed input under the v3 scheme export, which copied
+  // every additive constraint into every scheme. Scheme keys must have
+  // moved off them, for both backends, so a store warmed by that export
+  // misses instead of replaying detached add/subs. Solve keys must not
+  // move: their set hash already covers the instantiated callee schemes.
+  const Hash128 Set{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  const SummaryKey V3Retypd{0x21cb62eff128c844ull, 0xc8d6d5e17b64540full};
+  const SummaryKey V3BinSub{0xb0919ab2c672f8c8ull, 0x11578e001b4363c9ull};
+  const SummaryKey SolveV1{0x325593fa3ea188b4ull, 0xc7bac96afc7ac94full};
+
+  EXPECT_NE(SummaryCache::keyFor(Set, "F", {"g0"}, Opts), V3Retypd);
+  EXPECT_NE(SummaryCache::keyFor(Set, "F", {"g0"}, Opts, BackendKind::BinSub),
+            V3BinSub);
+  EXPECT_EQ(SummaryCache::solveKeyFor(Set, {"F"}), SolveV1);
+}
+
 TEST_F(SummaryCacheTest, CacheRoundTripsSchemes) {
   SummaryCache Cache;
   TypeScheme Scheme = makeScheme("F");

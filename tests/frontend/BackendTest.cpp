@@ -13,12 +13,14 @@
 //    a retypd scheme or solution — zero false hits;
 //  - backend-tagged store records (payload tag bit 0x10) visible to
 //    Store::inspect;
-//  - SchedulerTest's 12-layer diamond ladder under binsub (ROADMAP open
-//    item 4 measurement).
+//  - additive-constraint anchoring at scheme export, pinned per backend;
+//  - SchedulerTest's 64-layer diamond ladder under binsub, and bounded
+//    scheme growth along the ladder under both backends.
 //
 //===----------------------------------------------------------------------===//
 
 #include "DiamondLadder.h"
+#include "core/ConstraintParser.h"
 #include "core/SolverBackend.h"
 #include "core/SummaryCache.h"
 #include "eval/Metrics.h"
@@ -105,6 +107,48 @@ size_t countPrototypeDiffs(const BackendRun &A, const BackendRun &B,
     }
   }
   return Diffs;
+}
+
+/// One backend's scheme for procedure F over a textual constraint set.
+struct BackendScheme {
+  SymbolTable Syms;
+  Lattice Lat = makeDefaultLattice();
+  TypeScheme S;
+
+  BackendScheme(BackendKind K, const std::string &Text) {
+    ConstraintParser Parser(Syms, Lat);
+    auto C = Parser.parse(Text);
+    EXPECT_TRUE(C.has_value()) << Parser.error();
+    auto B = makeSolverBackend(K, Syms, Lat, SimplifyOptions());
+    S = B->simplify(C ? *C : ConstraintSet(),
+                    TypeVariable::var(Syms.intern("F")), {});
+  }
+  DerivedTypeVariable dtv(const std::string &Text) {
+    ConstraintParser Parser(Syms, Lat);
+    auto D = Parser.parseDtv(Text);
+    EXPECT_TRUE(D.has_value()) << Parser.error();
+    return D ? *D : DerivedTypeVariable();
+  }
+  bool hasSubtype(const DerivedTypeVariable &L,
+                  const DerivedTypeVariable &R) const {
+    for (const SubtypeConstraint &SC : S.Constraints.subtypes())
+      if (SC.Lhs == L && SC.Rhs == R)
+        return true;
+    return false;
+  }
+  std::string str() const { return S.str(Syms, Lat); }
+};
+
+constexpr BackendKind kBothBackends[] = {BackendKind::Retypd,
+                                         BackendKind::BinSub};
+
+/// Constraint count of the largest `dN` join scheme of a diamond ladder.
+size_t largestJoinScheme(const BackendRun &Run) {
+  size_t Max = 0;
+  for (const auto &[F, Types] : Run.R.Funcs)
+    if (Run.M.Funcs[F].Name[0] == 'd')
+      Max = std::max(Max, Types.Scheme.Constraints.size());
+  return Max;
 }
 
 } // namespace
@@ -292,21 +336,78 @@ TEST(BackendTest, StoreRecordsAreBackendTagged) {
   fs::remove_all(Dir);
 }
 
+TEST(BackendTest, AddSubSurvives) {
+  // An add between F's input and output is exported linked to both.
+  for (BackendKind K : kBothBackends) {
+    BackendScheme B(K, "F.in0 <= a\nadd(a, k; z)\nz <= F.out");
+    ASSERT_EQ(B.S.Constraints.addSubs().size(), 1u) << backendName(K);
+    const AddSubConstraint &AC = B.S.Constraints.addSubs().front();
+    EXPECT_TRUE(B.hasSubtype(B.dtv("F.in0"), AC.X))
+        << backendName(K) << "\n" << B.str();
+    EXPECT_TRUE(B.hasSubtype(AC.Z, B.dtv("F.out")))
+        << backendName(K) << "\n" << B.str();
+  }
+}
+
+TEST(BackendTest, DetachedAddSubDropped) {
+  // Linked to F only through the lattice constant `int`: detached.
+  for (BackendKind K : kBothBackends) {
+    BackendScheme B(K, "F.in0 <= int\nint <= a\nadd(a, k; z)");
+    EXPECT_TRUE(B.S.Constraints.addSubs().empty())
+        << backendName(K) << "\n" << B.str();
+    EXPECT_TRUE(B.S.Existentials.empty())
+        << backendName(K) << "\n" << B.str();
+  }
+}
+
+TEST(BackendTest, AnchoredOperandKeepsPointerEvidence) {
+  // The anchored operand's `.load` capability is exported (renamed) even
+  // though the loaded value leads nowhere interesting.
+  for (BackendKind K : kBothBackends) {
+    BackendScheme B(K, "F.in0 <= p\nadd(p, k; p)\np.load <= x");
+    ASSERT_EQ(B.S.Constraints.addSubs().size(), 1u) << backendName(K);
+    const TypeVariable P = B.S.Constraints.addSubs().front().X.base();
+    EXPECT_NE(P, B.dtv("p").base()) << backendName(K);
+    bool HasLoad = false;
+    for (const DerivedTypeVariable &V : B.S.Constraints.vars())
+      HasLoad |= V.base() == P && V.size() == 1 &&
+                 V.lastLabel() == Label::load();
+    EXPECT_TRUE(HasLoad) << backendName(K) << "\n" << B.str();
+  }
+}
+
+TEST(BackendTest, DiamondLadderSchemesStayBounded) {
+  // A scheme that re-exported every callee's additive constraints would
+  // double the join schemes per diamond layer. Counted, not timed:
+  // retypd's largest join scheme must not grow with depth at all, and
+  // binsub's (whose relay chains still lengthen per layer) at most
+  // linearly.
+  Module M16 = parseAsm(diamondAsm(16)), M64 = parseAsm(diamondAsm(64));
+  size_t Retypd16 = largestJoinScheme(runBackend(M16, BackendKind::Retypd));
+  size_t Retypd64 = largestJoinScheme(runBackend(M64, BackendKind::Retypd));
+  EXPECT_GT(Retypd16, 0u);
+  EXPECT_EQ(Retypd64, Retypd16);
+  size_t BinSub16 = largestJoinScheme(runBackend(M16, BackendKind::BinSub));
+  size_t BinSub64 = largestJoinScheme(runBackend(M64, BackendKind::BinSub));
+  EXPECT_GT(BinSub16, 0u);
+  EXPECT_LE(BinSub64, 4 * BinSub16) << "binsub d16 " << BinSub16
+                                    << " vs d64 " << BinSub64;
+}
+
 TEST(BackendTest, DiamondLadderUnderBinSub) {
-  // ROADMAP open item 4: does algebraic subtyping sidestep the
-  // sketch-join growth on the 12-layer diamond ladder? Run it under
-  // binsub at several job counts — correctness (byte-identity and
+  // Does algebraic subtyping handle the 64-layer diamond ladder? Run it
+  // under binsub at several job counts — correctness (byte-identity and
   // completion) is the test contract; the timing comparison against
   // retypd is recorded in ROADMAP.md.
-  Module M = parseAsm(diamondAsm(12));
+  Module M = parseAsm(diamondAsm(64));
   BackendRun Seq = runBackend(M, BackendKind::BinSub, 1);
   EXPECT_EQ(Seq.R.Stats.Backend, "binsub");
-  EXPECT_EQ(Seq.R.Stats.SccCount, 37u); // 1 + 3 * 12
+  EXPECT_EQ(Seq.R.Stats.SccCount, 193u); // 1 + 3 * 64
   for (unsigned Jobs : {4u, 0u}) {
     BackendRun Par = runBackend(M, BackendKind::BinSub, Jobs);
     EXPECT_EQ(Par.Text, Seq.Text) << "diamond binsub jobs=" << Jobs;
   }
-  std::printf("diamond(12) binsub: simplify=%.3fs solve=%.3fs\n",
+  std::printf("diamond(64) binsub: simplify=%.3fs solve=%.3fs\n",
               Seq.R.Stats.secs(Region::Simplify),
               Seq.R.Stats.secs(Region::Solve));
 }

@@ -7,10 +7,13 @@
 /// \file
 /// A ladder of diamonds: top_i -> {a_i, b_i} -> top_(i-1). Fork/join
 /// readiness: each join SCC waits on two callers (phase 2) and the two
-/// arms wait on the same callee (phase 1). Depth is capped low in the
-/// tests: per-SCC constraint counts double per layer on this shape,
-/// because exported schemes carry detached additive constraints that every
-/// instantiation re-imports.
+/// arms wait on the same callee (phase 1). The leaf d0 carries an
+/// additive constraint that each join reaches through both of its arms.
+/// While schemes exported every add/sub, linked to the interface or not,
+/// each join re-imported two copies of the previous join's set, and
+/// per-SCC constraint counts doubled per layer. Schemes now export only
+/// anchored add/subs (core/SolverBackend.h), so tests run the ladder 64
+/// deep.
 ///
 //===----------------------------------------------------------------------===//
 

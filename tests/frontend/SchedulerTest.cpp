@@ -126,7 +126,7 @@ TEST(SchedulerTest, AdversarialShapesByteIdenticalAcrossJobs) {
       {"chain", chainAsm(200)},
       {"star", starAsm(300)},
       {"many-tiny", manyTinyAsm(500)},
-      {"diamond", diamondAsm(12)},
+      {"diamond", diamondAsm(64)},
   };
   for (const auto &[Name, Asm] : Shapes) {
     Module M = parseProgram(Asm);
